@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include "ops/region.hpp"
@@ -91,12 +92,62 @@ void conv_box(const Node& node, const RegionInput& input,
   });
 }
 
+/// Two output channels' accumulators in one SIMD register (GCC/Clang vector
+/// extension; lowered to SSE2 on x86-64 without any -march flag).
+using F64x2 = double __attribute__((vector_size(16)));
+
+/// Output channels × output points of one register-blocked interior tile.
+constexpr int kTileM = 4;
+constexpr int kTileX = 4;
+constexpr int kTileV = kTileM / 2;
+
+/// One tile: up to 2·MV consecutive output channels of one group times XB
+/// consecutive points of one output row. `in` points at the tile's first
+/// input element (group channel 0, tap offset 0), consecutive points are `sx`
+/// apart, and `wp` holds the m-block's weights as doubles packed
+/// [tap][cg][2·MV] (channels past `mb` are zero and never stored). Every
+/// output element keeps its own double accumulator and the conv_box addition
+/// order (taps row-major, then group channels); the tile only interleaves
+/// independent elements. A float × float product is exact in double, so
+/// neither the interleaving nor FMA contraction can change a result bit.
+template <int MV, int XB>
+void conv_tile(const float* in, i64 sx, i64 in_points, const i64* tap_off,
+               i64 taps, i64 c_group, const F64x2* wp, int mb, bool relu,
+               float* out, i64 out_points) {
+  F64x2 acc[XB][MV] = {};
+  for (i64 t = 0; t < taps; ++t) {
+    const float* in_t = in + tap_off[t];
+    for (i64 cg = 0; cg < c_group; ++cg, wp += MV) {
+      const float* in_c = in_t + cg * in_points;
+      for (int xi = 0; xi < XB; ++xi) {
+        const double v = in_c[xi * sx];
+        for (int j = 0; j < MV; ++j) acc[xi][j] += v * wp[j];
+      }
+    }
+  }
+  for (int mi = 0; mi < mb; ++mi) {
+    for (int xi = 0; xi < XB; ++xi) {
+      float v = static_cast<float>(acc[xi][mi / 2][mi % 2]);
+      if (relu && v < 0.0f) v = 0.0f;
+      out[mi * out_points + xi] = v;
+    }
+  }
+}
+
+using ConvTileFn = void (*)(const float*, i64, i64, const i64*, i64, i64,
+                            const F64x2*, int, bool, float*, i64);
+
+/// Full-width tiles and the one-point row tail, indexed by vector count − 1.
+constexpr ConvTileFn kTileFull[kTileV] = {conv_tile<1, kTileX>,
+                                          conv_tile<2, kTileX>};
+constexpr ConvTileFn kTileOne[kTileV] = {conv_tile<1, 1>, conv_tile<2, 1>};
+
 /// Interior fast path: every tap of every point reads inside the input
-/// window, so the loops are hand-flattened with precomputed strides and
-/// per-tap input-offset deltas — no odometer, no per-element lambda, no
-/// per-tap validity checks. Accumulation order per output element (taps
-/// row-major, then group channels) matches conv_box exactly, so results are
-/// bit-identical.
+/// window, so there are no per-tap validity checks. Output channels are
+/// walked in m-blocks of up to kTileM that never straddle a group; each
+/// m-block's weights are packed once, then every row of the interior box is
+/// swept in tiles of kTileX points plus a one-point tail. Results are
+/// bit-identical to conv_box (see conv_tile).
 void conv_interior(const Node& node, const RegionInput& input,
                    std::span<const float> weights,
                    const detail::StencilDim* dims, const i64* ilo,
@@ -120,9 +171,12 @@ void conv_interior(const Node& node, const RegionInput& input,
     out_stride[d] = out_stride[d + 1] * out_extent[d + 1];
   }
 
-  // Input-offset delta of each kernel tap (row-major tap order, matching the
-  // generic path's accumulation sequence).
-  std::vector<i64> tap_off(static_cast<size_t>(taps));
+  // Scratch: per-tap input-offset deltas (row-major tap order, matching the
+  // generic path's accumulation sequence), then one packed m-block.
+  thread_local std::vector<i64> tap_off;
+  thread_local std::vector<F64x2> packed;
+  tap_off.resize(static_cast<size_t>(taps));
+  packed.resize(static_cast<size_t>(taps * c_group * kTileV));
   {
     i64 t = 0;
     for_each_index(a.kernel, [&](const Dims& tap) {
@@ -136,43 +190,63 @@ void conv_interior(const Node& node, const RegionInput& input,
 
   const bool relu = a.fused_relu;
   const int last = rank - 1;
-  for (i64 m = 0; m < a.out_channels; ++m) {
-    const i64 g = m / m_group;
-    const float* w_m = weights.data() + m * c_group * taps;
+  const i64 sx = dims[last].scale;
+  const i64 row_x0 = ilo[last];
+  const i64 row_len = ihi[last] - row_x0;
+  const i64 row_full = row_len - row_len % kTileX;
+  for (i64 g = 0; g < a.groups; ++g) {
     const float* in_g = input.data.data() + g * c_group * in_points;
-    float* out_m = out.data() + m * out_points;
-    i64 idx[Dims::kMaxRank];
-    for (int d = 0; d < last; ++d) idx[d] = ilo[d];
-    while (true) {
-      i64 in_base = 0;
-      i64 out_base = 0;
-      for (int d = 0; d < last; ++d) {
-        in_base +=
-            (idx[d] * dims[d].scale + dims[d].base - input.lo[d]) *
-            in_stride[d];
-        out_base += (idx[d] - out_lo[d]) * out_stride[d];
-      }
-      for (i64 x = ilo[last]; x < ihi[last]; ++x) {
-        const i64 in_x =
-            in_base + x * dims[last].scale + dims[last].base - input.lo[last];
-        double acc = 0.0;
-        for (i64 t = 0; t < taps; ++t) {
-          const float* in_t = in_g + in_x + tap_off[static_cast<size_t>(t)];
-          const float* w_t = w_m + t;
-          for (i64 cg = 0; cg < c_group; ++cg) {
-            acc += static_cast<double>(in_t[cg * in_points]) * w_t[cg * taps];
+    for (i64 m0 = g * m_group; m0 < (g + 1) * m_group; m0 += kTileM) {
+      const int mb =
+          static_cast<int>(std::min<i64>(kTileM, (g + 1) * m_group - m0));
+      const int mv = (mb + 1) / 2;
+      // Pack [tap][cg][2·mv] so a tile reads its weights contiguously.
+      auto w = [&](int mi, i64 cg, i64 t) -> double {
+        return mi < mb ? weights[static_cast<size_t>(
+                             (m0 + mi) * c_group * taps + cg * taps + t)]
+                       : 0.0;
+      };
+      F64x2* wp = packed.data();
+      for (i64 t = 0; t < taps; ++t) {
+        for (i64 cg = 0; cg < c_group; ++cg) {
+          for (int j = 0; j < mv; ++j) {
+            *wp++ = F64x2{w(2 * j, cg, t), w(2 * j + 1, cg, t)};
           }
         }
-        float v = static_cast<float>(acc);
-        if (relu && v < 0.0f) v = 0.0f;
-        out_m[out_base + (x - out_lo[last])] = v;
       }
-      int d = last - 1;
-      for (; d >= 0; --d) {
-        if (++idx[d] < ihi[d]) break;
-        idx[d] = ilo[d];
+      const ConvTileFn full = kTileFull[mv - 1];
+      const ConvTileFn one = kTileOne[mv - 1];
+      float* out_m = out.data() + m0 * out_points;
+      i64 idx[Dims::kMaxRank];
+      for (int d = 0; d < last; ++d) idx[d] = ilo[d];
+      while (true) {
+        i64 in_base = 0;
+        i64 out_base = 0;
+        for (int d = 0; d < last; ++d) {
+          in_base +=
+              (idx[d] * dims[d].scale + dims[d].base - input.lo[d]) *
+              in_stride[d];
+          out_base += (idx[d] - out_lo[d]) * out_stride[d];
+        }
+        const float* in_row =
+            in_g + in_base + row_x0 * sx + dims[last].base - input.lo[last];
+        float* out_row = out_m + out_base + (row_x0 - out_lo[last]);
+        i64 x = 0;
+        for (; x < row_full; x += kTileX) {
+          full(in_row + x * sx, sx, in_points, tap_off.data(), taps, c_group,
+               packed.data(), mb, relu, out_row + x, out_points);
+        }
+        for (; x < row_len; ++x) {
+          one(in_row + x * sx, sx, in_points, tap_off.data(), taps, c_group,
+              packed.data(), mb, relu, out_row + x, out_points);
+        }
+        int d = last - 1;
+        for (; d >= 0; --d) {
+          if (++idx[d] < ihi[d]) break;
+          idx[d] = ilo[d];
+        }
+        if (d < 0) break;
       }
-      if (d < 0) break;
     }
   }
 }

@@ -289,6 +289,99 @@ TEST(FastPathPerf, WholeRegionInteriorConv) {
                              /*margin=*/3, /*seed=*/12, "whole-interior-conv");
 }
 
+// Named regressions for the register-blocked interior conv kernel (DESIGN.md
+// §9.1), which computes tiles of output channels × row points and needs a
+// general path for every shape that does not fill a tile. Each case runs
+// sweep_windows: conv_region against conv_region_generic (memcmp) on the
+// exact window, on a wide-halo window whose interior covers the whole region,
+// and on a seeded sub-tile.
+void expect_conv_bit_exact(const Graph& g, int node_id, u64 seed,
+                           const std::string& label) {
+  Rng rng(seed);
+  sweep_windows(g, node_id, &rng, seed, label);
+}
+
+TEST(FastPathPerf, ConvTailOutChannelsNotBlockMultiple) {
+  for (const i64 out_ch : {1, 2, 3, 5, 6, 7}) {
+    Graph g("conv_tail_m");
+    const int x = g.add_input("in", Shape{1, 3, 8, 8});
+    const int c = g.add_conv(x, "op", Dims{3, 3}, out_ch, Dims{1, 1},
+                             Dims{1, 1});
+    expect_conv_bit_exact(g, c, 21, "out_ch=" + std::to_string(out_ch));
+  }
+}
+
+// groups = 3 with 6 output channels: two channels per group, so a 4-channel
+// block starting at channel 0 would straddle the boundary into group 1.
+TEST(FastPathPerf, ConvTailGroupBoundaryInsideBlock) {
+  Graph g("conv_tail_groups");
+  const int x = g.add_input("in", Shape{1, 6, 8, 8});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1}, {},
+                           /*groups=*/3);
+  expect_conv_bit_exact(g, c, 22, "groups=3");
+}
+
+TEST(FastPathPerf, ConvTailDepthwise) {
+  for (const i64 multiplier : {1, 2}) {
+    Graph g("conv_tail_dw");
+    const int x = g.add_input("in", Shape{1, 5, 8, 8});
+    const int c = g.add_conv(x, "op", Dims{3, 3}, 5 * multiplier, Dims{1, 1},
+                             Dims{1, 1}, {}, /*groups=*/5);
+    expect_conv_bit_exact(g, c, 23,
+                          "depthwise x" + std::to_string(multiplier));
+  }
+}
+
+TEST(FastPathPerf, ConvTailRowExtentNotBlockMultiple) {
+  for (const i64 width : {1, 3, 5, 7, 10}) {
+    Graph g("conv_tail_x");
+    const int x = g.add_input("in", Shape{1, 3, 4, width});
+    const int c =
+        g.add_conv(x, "op", Dims{3, 3}, 4, Dims{1, 1}, Dims{1, 1});
+    expect_conv_bit_exact(g, c, 24, "width=" + std::to_string(width));
+  }
+}
+
+TEST(FastPathPerf, ConvTailStride2) {
+  Graph g("conv_tail_stride");
+  const int x = g.add_input("in", Shape{1, 3, 11, 13});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 5, Dims{2, 2}, Dims{1, 1});
+  expect_conv_bit_exact(g, c, 25, "stride=2");
+}
+
+TEST(FastPathPerf, ConvTailDilation2) {
+  Graph g("conv_tail_dilation");
+  const int x = g.add_input("in", Shape{1, 3, 9, 10});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 5, Dims{1, 1}, Dims{2, 2},
+                           Dims{2, 2});
+  expect_conv_bit_exact(g, c, 26, "dilation=2");
+}
+
+// Stride-1 transposed conv maps onto the interior fast path with a negative
+// tap step (input = out + padding − dilation·tap).
+TEST(FastPathPerf, ConvTailTransposedStride1) {
+  Graph g("conv_tail_deconv");
+  const int x = g.add_input("in", Shape{1, 3, 7, 9});
+  const int c = g.add_deconv(x, "op", Dims{3, 3}, 5, Dims{1, 1}, Dims{1, 1});
+  expect_conv_bit_exact(g, c, 27, "transposed stride=1");
+}
+
+TEST(FastPathPerf, ConvTail3DKernel) {
+  Graph g("conv_tail_3d");
+  const int x = g.add_input("in", Shape{1, 2, 5, 6, 7});
+  const int c = g.add_conv(x, "op", Dims{3, 3, 3}, 5, Dims{1, 1, 1},
+                           Dims{1, 1, 1});
+  expect_conv_bit_exact(g, c, 28, "3d");
+}
+
+TEST(FastPathPerf, ConvTailFusedRelu) {
+  Graph g("conv_tail_relu");
+  const int x = g.add_input("in", Shape{1, 3, 8, 7});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1}, {},
+                           1, /*fused_relu=*/true);
+  expect_conv_bit_exact(g, c, 29, "fused_relu");
+}
+
 // Pool analogues of the two extremes above (max pooling: out-of-window reads
 // as zero, the documented BrickDL padding semantics).
 TEST(FastPathPerf, EmptyAndWholeInteriorPool) {

@@ -102,7 +102,9 @@ TEST(CacheModel, SplitCacheBitIdenticalToFastmod) {
       const auto b = slow.access(stream[i], write);
       ASSERT_EQ(a.hit, b.hit) << "i=" << i << " line=" << stream[i];
       ASSERT_EQ(a.evicted_dirty, b.evicted_dirty) << "i=" << i;
-      if (a.evicted_dirty) ASSERT_EQ(a.evicted_line, b.evicted_line);
+      if (a.evicted_dirty) {
+        ASSERT_EQ(a.evicted_line, b.evicted_line);
+      }
     }
     std::vector<u64> dirty_fast, dirty_slow;
     EXPECT_EQ(fast.flush(&dirty_fast), slow.flush(&dirty_slow));
