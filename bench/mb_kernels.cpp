@@ -3,8 +3,11 @@
 //   * conv/pool interior fast path vs the generic clamping path, on a
 //     brick-sized region with enough halo that the interior covers the whole
 //     output (the merged-execution steady state);
-//   * the same kernels on an exact window, where boundary slabs run through
-//     the generic code (the brick-edge case);
+//   * conv on the layer itself, as the whole-tensor path gathers it: the
+//     padding taps of the edge rows and columns fall outside the window, so
+//     those points run the boundary code (the layer-edge case). The pool
+//     "boundary" pair still uses the exact window, whose interior covers
+//     the whole region;
 //   * ThreadPool::parallel_for dispatch overhead across grain sizes.
 //
 // Doubles as a correctness smoke (CTest test `mb_kernels_smoke`, label
@@ -59,7 +62,8 @@ double time_ns_per_call(Fn&& fn, i64 calls) {
 }
 
 /// One stencil workload: a single conv or pool node plus a seeded input
-/// window widened by `margin` around the exact window of the full output.
+/// window widened by `margin` (narrowed, if negative) around the exact window
+/// of the full output.
 struct StencilCase {
   Graph g{"mb"};
   int node_id = -1;
@@ -233,8 +237,10 @@ int main(int argc, char** argv) {
   // margin 1 covers every 3x3 tap: the interior is the whole region.
   ok &= bench_pair(make_conv(ch, ch, side, 3, 1, 1, 1), "conv3x3/interior",
                    calls, &results);
-  // margin 0: boundary rows/columns run the generic clamping path.
-  ok &= bench_pair(make_conv(ch, ch, side, 3, 1, 1, 0), "conv3x3/boundary",
+  // margin -1: the window is the layer, so the edge rows/columns are
+  // boundary points (clamped taps). margin 0 would still hold every padding
+  // tap and leave no boundary at all.
+  ok &= bench_pair(make_conv(ch, ch, side, 3, 1, 1, -1), "conv3x3/boundary",
                    calls, &results);
   // Further conv shapes, each on a brick-sized region with enough halo that
   // the interior covers it: ResNet-50's bottleneck 1x1 (4·ch → ch) and

@@ -41,4 +41,12 @@ Dims BrickGrid::valid_extent(const Dims& g) const {
   return extent;
 }
 
+bool BrickGrid::contains(const Dims& lo, const Dims& extent) const {
+  BDL_CHECK(lo.rank() == rank() && extent.rank() == rank());
+  for (int i = 0; i < rank(); ++i) {
+    if (lo[i] < 0 || lo[i] + extent[i] > blocked[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace brickdl

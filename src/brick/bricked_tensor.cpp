@@ -3,23 +3,6 @@
 #include <algorithm>
 
 namespace brickdl {
-namespace {
-
-/// Iterate all index vectors in [0, extent) in row-major order.
-template <typename Fn>
-void for_each_index(const Dims& extent, Fn&& fn) {
-  const i64 total = extent.product();
-  Dims index = Dims::filled(extent.rank(), 0);
-  for (i64 i = 0; i < total; ++i) {
-    fn(index);
-    for (int d = extent.rank() - 1; d >= 0; --d) {
-      if (++index[d] < extent[d]) break;
-      index[d] = 0;
-    }
-  }
-}
-
-}  // namespace
 
 BrickedTensor::BrickedTensor(Shape shape, const Dims& brick_extents)
     : BrickedTensor(shape, brick_extents,
@@ -97,17 +80,32 @@ BrickedTensor BrickedTensor::from_canonical(const Tensor& src,
                                             BrickMap map) {
   const Shape shape(src.dims());
   BrickedTensor dst(shape, brick_extents, std::move(map));
-  for_each_index(src.dims(), [&](const Dims& index) {
-    dst.at(index) = src.at(index);
-  });
+  // A canonical batch slice [C, spatial...] is exactly a window of extent
+  // [1, spatial...] in scratch layout.
+  const i64 slice = shape.channels() * shape.spatial_dims().product();
+  Dims lo = Dims::filled(dst.grid_.rank(), 0);
+  Dims extent = dst.grid_.blocked;
+  extent[0] = 1;
+  for (i64 n = 0; n < shape.batch(); ++n) {
+    lo[0] = n;
+    dst.write_window(lo, extent, src.span().subspan(
+                                     static_cast<size_t>(n * slice),
+                                     static_cast<size_t>(slice)));
+  }
   return dst;
 }
 
 Tensor BrickedTensor::to_canonical() const {
   Tensor dst(shape_);
-  for_each_index(shape_.dims, [&](const Dims& index) {
-    dst.at(index) = at(index);
-  });
+  const i64 slice = channels() * shape_.spatial_dims().product();
+  Dims lo = Dims::filled(grid_.rank(), 0);
+  Dims extent = grid_.blocked;
+  extent[0] = 1;
+  for (i64 n = 0; n < shape_.batch(); ++n) {
+    lo[0] = n;
+    read_window(lo, extent, dst.span().subspan(static_cast<size_t>(n * slice),
+                                               static_cast<size_t>(slice)));
+  }
   return dst;
 }
 
@@ -117,33 +115,9 @@ void BrickedTensor::read_window(const Dims& lo, const Dims& extent,
   const i64 needed = channels() * extent.product();
   BDL_CHECK_MSG(static_cast<i64>(scratch.size()) >= needed,
                 "scratch too small: " << scratch.size() << " < " << needed);
-  const i64 per_channel = extent.product();
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    bool inside = true;
-    for (int i = 0; i < grid_.rank(); ++i) {
-      blocked[i] += lo[i];
-      if (blocked[i] < 0 || blocked[i] >= grid_.blocked[i]) inside = false;
-    }
-    const i64 rel_offset = extent.linear(rel);
-    if (!inside) {
-      for (i64 c = 0; c < channels(); ++c) {
-        scratch[static_cast<size_t>(c * per_channel + rel_offset)] = 0.0f;
-      }
-      return;
-    }
-    // Resolve the brick once per position and reuse across channels.
-    const Dims g = grid_.brick_of(blocked);
-    const Dims origin = grid_.brick_origin(g);
-    Dims in_brick = blocked;
-    for (int i = 0; i < grid_.rank(); ++i) in_brick[i] -= origin[i];
-    const float* data = brick_data(map_.physical_at(g));
-    const i64 in_offset = grid_.brick.linear(in_brick);
-    for (i64 c = 0; c < channels(); ++c) {
-      scratch[static_cast<size_t>(c * per_channel + rel_offset)] =
-          data[c * grid_.brick_elements() + in_offset];
-    }
-  });
+  gather_window(
+      grid_, [&](i64 logical) { return brick_data(map_.physical(logical)); },
+      channels(), lo, extent, scratch.data());
 }
 
 void BrickedTensor::write_window(const Dims& lo, const Dims& extent,
@@ -152,25 +126,9 @@ void BrickedTensor::write_window(const Dims& lo, const Dims& extent,
   const i64 needed = channels() * extent.product();
   BDL_CHECK_MSG(static_cast<i64>(scratch.size()) >= needed,
                 "scratch too small: " << scratch.size() << " < " << needed);
-  const i64 per_channel = extent.product();
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    for (int i = 0; i < grid_.rank(); ++i) {
-      blocked[i] += lo[i];
-      if (blocked[i] < 0 || blocked[i] >= grid_.blocked[i]) return;
-    }
-    const Dims g = grid_.brick_of(blocked);
-    const Dims origin = grid_.brick_origin(g);
-    Dims in_brick = blocked;
-    for (int i = 0; i < grid_.rank(); ++i) in_brick[i] -= origin[i];
-    float* data = brick_data(map_.physical_at(g));
-    const i64 in_offset = grid_.brick.linear(in_brick);
-    const i64 rel_offset = extent.linear(rel);
-    for (i64 c = 0; c < channels(); ++c) {
-      data[c * grid_.brick_elements() + in_offset] =
-          scratch[static_cast<size_t>(c * per_channel + rel_offset)];
-    }
-  });
+  scatter_window(
+      grid_, [&](i64 logical) { return brick_data(map_.physical(logical)); },
+      channels(), lo, extent, scratch.data());
 }
 
 }  // namespace brickdl

@@ -6,6 +6,7 @@
 // BrickInfo adjacency, exactly as Fig. 6 lays out.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "brick/brick_info.hpp"
@@ -49,6 +50,49 @@ class Brick {
   i64 channels_;
   Dims extents_;
 };
+
+/// Copy the window [lo, lo+extent) of brick-decomposed storage into dense
+/// [C, extent...] scratch, one for_each_row_run run at a time: each run is
+/// `channels` contiguous copies, `layout.brick_elements()` apart in the
+/// storage. `brick_data(logical)` returns a brick's first element. Positions
+/// outside the layer read as zero; the scratch is zeroed once, and only when
+/// the window is clipped.
+template <typename BrickData>
+void gather_window(const BrickGrid& layout, BrickData&& brick_data,
+                   i64 channels, const Dims& lo, const Dims& extent,
+                   float* scratch) {
+  const i64 points = extent.product();
+  if (!layout.contains(lo, extent)) {
+    std::fill_n(scratch, channels * points, 0.0f);
+  }
+  const i64 stride = layout.brick_elements();
+  for_each_row_run(layout, lo, extent,
+                   [&](i64 window_offset, i64 brick, i64 offset, i64 len) {
+                     const float* src = brick_data(brick) + offset;
+                     float* dst = scratch + window_offset;
+                     for (i64 c = 0; c < channels; ++c) {
+                       std::copy_n(src + c * stride, len, dst + c * points);
+                     }
+                   });
+}
+
+/// Inverse of gather_window: copy dense [C, extent...] scratch into the
+/// in-layer part of the window; positions outside the layer are skipped.
+template <typename BrickData>
+void scatter_window(const BrickGrid& layout, BrickData&& brick_data,
+                    i64 channels, const Dims& lo, const Dims& extent,
+                    const float* scratch) {
+  const i64 points = extent.product();
+  const i64 stride = layout.brick_elements();
+  for_each_row_run(layout, lo, extent,
+                   [&](i64 window_offset, i64 brick, i64 offset, i64 len) {
+                     const float* src = scratch + window_offset;
+                     float* dst = brick_data(brick) + offset;
+                     for (i64 c = 0; c < channels; ++c) {
+                       std::copy_n(src + c * points, len, dst + c * stride);
+                     }
+                   });
+}
 
 class BrickedTensor {
  public:

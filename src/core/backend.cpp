@@ -1,74 +1,48 @@
 #include "core/backend.hpp"
 
-#include <algorithm>
-
 #include "core/fault_hooks.hpp"
-#include "util/odometer.hpp"
 #include "util/status.hpp"
 
 namespace brickdl {
 namespace {
+
+/// A canonical [N, C, spatial...] tensor is the brick layout whose bricks
+/// are its batch slices: extents [1, spatial...], in batch order.
+BrickGrid canonical_layout(const Shape& shape) {
+  Dims slice = shape.blocked_dims();
+  slice[0] = 1;
+  return BrickGrid(shape.blocked_dims(), slice);
+}
 
 /// Gather a blocked-space window from a canonical tensor into [C, extent...]
 /// scratch, zero-filling out-of-bounds positions.
 void canonical_read_window(const Tensor& t, const Dims& lo, const Dims& extent,
                            std::span<float> scratch) {
   const Shape shape(t.dims());
-  const Dims bounds = shape.blocked_dims();
+  const BrickGrid layout = canonical_layout(shape);
   const i64 channels = shape.channels();
-  const i64 points = extent.product();
-  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * points);
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    bool inside = true;
-    for (int d = 0; d < rel.rank(); ++d) {
-      blocked[d] += lo[d];
-      if (blocked[d] < 0 || blocked[d] >= bounds[d]) inside = false;
-    }
-    const i64 rel_offset = extent.linear(rel);
-    if (!inside) {
-      for (i64 c = 0; c < channels; ++c) {
-        scratch[static_cast<size_t>(c * points + rel_offset)] = 0.0f;
-      }
-      return;
-    }
-    // Canonical index [n, c, spatial...] from blocked [n, spatial...].
-    Dims index = Dims::filled(shape.rank(), 0);
-    index[0] = blocked[0];
-    for (int d = 1; d < blocked.rank(); ++d) index[1 + d] = blocked[d];
-    for (i64 c = 0; c < channels; ++c) {
-      index[1] = c;
-      scratch[static_cast<size_t>(c * points + rel_offset)] = t.at(index);
-    }
-  });
+  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * extent.product());
+  const i64 slice = channels * layout.brick_elements();
+  gather_window(
+      layout, [&](i64 n) { return t.data() + n * slice; }, channels, lo,
+      extent, scratch.data());
 }
 
 void canonical_write_window(Tensor& t, const Dims& lo, const Dims& extent,
                             std::span<const float> scratch) {
   const Shape shape(t.dims());
-  const Dims bounds = shape.blocked_dims();
+  const BrickGrid layout = canonical_layout(shape);
   const i64 channels = shape.channels();
-  const i64 points = extent.product();
-  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * points);
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims blocked = rel;
-    for (int d = 0; d < rel.rank(); ++d) {
-      blocked[d] += lo[d];
-      if (blocked[d] < 0 || blocked[d] >= bounds[d]) return;
-    }
-    Dims index = Dims::filled(shape.rank(), 0);
-    index[0] = blocked[0];
-    for (int d = 1; d < blocked.rank(); ++d) index[1 + d] = blocked[d];
-    const i64 rel_offset = extent.linear(rel);
-    for (i64 c = 0; c < channels; ++c) {
-      index[1] = c;
-      t.at(index) = scratch[static_cast<size_t>(c * points + rel_offset)];
-    }
-  });
+  BDL_CHECK(static_cast<i64>(scratch.size()) >= channels * extent.product());
+  const i64 slice = channels * layout.brick_elements();
+  scatter_window(
+      layout, [&](i64 n) { return t.data() + n * slice; }, channels, lo,
+      extent, scratch.data());
 }
 
 /// Copy the sub-window [lo, lo+extent) out of `slot` into congruent scratch
-/// carved from the worker's arena.
+/// carved from the worker's arena. The slot is a one-brick layout over its
+/// own window; positions outside it read as zero.
 ScratchSlot extract_subwindow(Arena& arena, const ScratchSlot& slot,
                               const Dims& lo, const Dims& extent) {
   ScratchSlot out;
@@ -76,23 +50,13 @@ ScratchSlot extract_subwindow(Arena& arena, const ScratchSlot& slot,
   out.extent = extent;
   out.channels = slot.channels;
   out.live = true;
-  const i64 points = extent.product();
-  const i64 src_points = slot.extent.product();
-  out.data =
-      arena.alloc_zeroed(static_cast<size_t>(slot.channels * points));
-  for_each_index(extent, [&](const Dims& rel) {
-    Dims src_rel = rel;
-    for (int d = 0; d < rel.rank(); ++d) {
-      src_rel[d] = rel[d] + lo[d] - slot.lo[d];
-      if (src_rel[d] < 0 || src_rel[d] >= slot.extent[d]) return;  // keep zero
-    }
-    const i64 dst_off = extent.linear(rel);
-    const i64 src_off = slot.extent.linear(src_rel);
-    for (i64 c = 0; c < slot.channels; ++c) {
-      out.data[static_cast<size_t>(c * points + dst_off)] =
-          slot.data[static_cast<size_t>(c * src_points + src_off)];
-    }
-  });
+  out.data = arena.alloc(static_cast<size_t>(slot.channels * extent.product()));
+  Dims rel_lo = lo;
+  for (int d = 0; d < lo.rank(); ++d) rel_lo[d] -= slot.lo[d];
+  gather_window(
+      BrickGrid(slot.extent, slot.extent),
+      [&](i64) { return slot.data.data(); }, slot.channels, rel_lo, extent,
+      out.data.data());
   return out;
 }
 
@@ -195,7 +159,8 @@ SlotId NumericBackend::load_window(int worker, TensorId src, const Dims& lo,
   slot.extent = extent;
   slot.channels = buf.shape.channels();
   slot.live = true;
-  slot.data = arenas_[static_cast<size_t>(worker)].alloc_zeroed(
+  // Readers zero out-of-bounds positions themselves, once.
+  slot.data = arenas_[static_cast<size_t>(worker)].alloc(
       static_cast<size_t>(slot.channels * extent.product()));
   if (buf.layout != Layout::kBricked) {
     canonical_read_window(*buf.canonical, lo, extent, slot.data);
@@ -221,6 +186,12 @@ void NumericBackend::store_window(int worker, SlotId slot_id, TensorId dst,
   slot.data = {};  // arena storage is reclaimed at the next invocation_begin
 }
 
+std::span<const float> NumericBackend::slot_data(int worker, SlotId slot_id) {
+  const ScratchSlot& slot = slot_ref(worker, slot_id);
+  BDL_CHECK(slot.live);
+  return slot.data;
+}
+
 void NumericBackend::free_slot(int worker, SlotId slot_id) {
   ScratchSlot& slot = slot_ref(worker, slot_id);
   BDL_CHECK(slot.live);
@@ -240,7 +211,6 @@ SlotId NumericBackend::compute(int worker, int node_id,
                                    "'"));
     }
   }
-  const std::vector<Shape> in_shapes = graph_.input_shapes(node);
   BDL_CHECK(inputs.size() == node.inputs.size());
 
   // Validate coverage: each slot must contain the window this region needs.

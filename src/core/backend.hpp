@@ -157,6 +157,9 @@ class NumericBackend final : public Backend {
   void bind(TensorId id, const Tensor& data);
   /// Read a registered tensor back in canonical layout.
   Tensor read(TensorId id) const;
+  /// A live slot's [C, extent...] contents, valid until the worker's next
+  /// invocation_begin.
+  std::span<const float> slot_data(int worker, SlotId slot);
 
  private:
   struct Buffer {

@@ -21,8 +21,9 @@ inline float window_at(const RegionInput& in, i64 channel, const Dims& abs) {
 
 /// Generic (per-tap clamping) convolution over the box
 /// [box_lo, box_lo+box_extent), writing at offsets relative to the full
-/// output region [out_lo, out_lo+out_extent). Serves both the whole-region
-/// generic path and the boundary slabs around an interior fast-path box.
+/// output region [out_lo, out_lo+out_extent). Serves the whole-region
+/// generic path: conv_region_generic (the test oracle) and transposed
+/// convolution with stride > 1.
 void conv_box(const Node& node, const RegionInput& input,
               std::span<const float> weights, const Dims& box_lo,
               const Dims& box_extent, const Dims& out_lo,
@@ -142,17 +143,142 @@ constexpr ConvTileFn kTileFull[kTileV] = {conv_tile<1, kTileX>,
                                           conv_tile<2, kTileX>};
 constexpr ConvTileFn kTileOne[kTileV] = {conv_tile<1, 1>, conv_tile<2, 1>};
 
-/// Interior fast path: every tap of every point reads inside the input
-/// window, so there are no per-tap validity checks. Output channels are
-/// walked in m-blocks of up to kTileM that never straddle a group; each
-/// m-block's weights are packed once, then every row of the interior box is
-/// swept in tiles of kTileX points plus a one-point tail. Results are
-/// bit-identical to conv_box (see conv_tile).
-void conv_interior(const Node& node, const RegionInput& input,
-                   std::span<const float> weights,
-                   const detail::StencilDim* dims, const i64* ilo,
-                   const i64* ihi, const Dims& out_lo, const Dims& out_extent,
-                   std::span<float> out) {
+/// Kernel dims a clamped tap box is walked over: every spatial dim, padded
+/// at the front with single-tap dims.
+constexpr int kTapDims = Dims::kMaxRank - 2;
+
+/// One boundary output point: its offset in the output region, the input
+/// offset (group channel 0) of its tap 0, and its valid tap box [lo, hi)
+/// per kernel dim. An empty box (any hi <= lo) means no tap reads inside the
+/// window.
+struct ClampedPoint {
+  i64 out_off = 0;
+  i64 in_off = 0;
+  i64 lo[kTapDims] = {};
+  i64 hi[kTapDims] = {};
+};
+
+/// Per-call steps of a tap box walk, padded like ClampedPoint: the input
+/// offset and the linear kernel index of one tap along each kernel dim.
+struct TapSteps {
+  i64 in[kTapDims] = {};
+  i64 idx[kTapDims] = {};
+};
+
+/// One boundary output point for up to 2·MV channels: conv_tile with one
+/// point, over only the point's valid tap box, walked row-major with direct
+/// input offsets. `wp` is the same packed m-block as conv_tile's.
+template <int MV>
+void conv_point(const float* in, i64 in_points, const ClampedPoint& p,
+                const TapSteps& step, i64 c_group, const F64x2* wp, int mb,
+                bool relu, float* out, i64 out_points) {
+  static_assert(kTapDims == 3, "the tap box walk is unrolled for 3 dims");
+  F64x2 acc[MV] = {};
+  for (i64 t0 = p.lo[0]; t0 < p.hi[0]; ++t0) {
+    for (i64 t1 = p.lo[1]; t1 < p.hi[1]; ++t1) {
+      for (i64 t2 = p.lo[2]; t2 < p.hi[2]; ++t2) {
+        const float* in_t = in + (p.in_off + t0 * step.in[0] +
+                                  t1 * step.in[1] + t2 * step.in[2]);
+        const F64x2* w_t =
+            wp + (t0 * step.idx[0] + t1 * step.idx[1] + t2) * c_group * MV;
+        for (i64 cg = 0; cg < c_group; ++cg, w_t += MV) {
+          const double v = in_t[cg * in_points];
+          for (int j = 0; j < MV; ++j) acc[j] += v * w_t[j];
+        }
+      }
+    }
+  }
+  for (int mi = 0; mi < mb; ++mi) {
+    float v = static_cast<float>(acc[mi / 2][mi % 2]);
+    if (relu && v < 0.0f) v = 0.0f;
+    out[mi * out_points] = v;
+  }
+}
+
+using ConvPointFn = void (*)(const float*, i64, const ClampedPoint&,
+                             const TapSteps&, i64, const F64x2*, int, bool,
+                             float*, i64);
+
+/// Clamped-tap boundary points, indexed by vector count − 1.
+constexpr ConvPointFn kPoint[kTileV] = {conv_point<1>, conv_point<2>};
+
+/// Taps t in [0, ktaps) of one stencil dim whose input coordinate
+/// `first + tapc·t` (window-relative; `first` is tap 0's) lies in
+/// [0, extent), as the interval [*lo, *hi).
+void tap_interval(const detail::StencilDim& s, i64 first, i64 extent, i64* lo,
+                  i64* hi) {
+  if (s.tapc > 0) {
+    *lo = std::max<i64>(0, detail::ceil_div(-first, s.tapc));
+    *hi = std::min(s.ktaps, detail::floor_div(extent - 1 - first, s.tapc) + 1);
+  } else if (s.tapc < 0) {
+    *lo = std::max<i64>(0, detail::ceil_div(first - extent + 1, -s.tapc));
+    *hi = std::min(s.ktaps, detail::floor_div(first, -s.tapc) + 1);
+  } else {
+    *lo = 0;
+    *hi = first >= 0 && first < extent ? s.ktaps : 0;
+  }
+}
+
+/// Append every point of the output box [lo, lo+extent) to `pts`, with each
+/// kernel dim's valid tap interval derived from the input window bounds.
+/// Dim 0 (batch) has the single tap 0; if it lies outside the window, the
+/// point's tap box is made empty.
+void clamp_box(const detail::StencilDim* dims, int rank,
+               const RegionInput& input, const i64* in_stride,
+               const i64* out_stride, const Dims& out_lo, const Dims& lo,
+               const Dims& extent, std::vector<ClampedPoint>* pts) {
+  const int pad = kTapDims - (rank - 1);  // leading single-tap kernel dims
+  i64 win_lo[Dims::kMaxRank], win_ext[Dims::kMaxRank];
+  i64 box_lo[Dims::kMaxRank], box_hi[Dims::kMaxRank], rel0[Dims::kMaxRank];
+  i64 o[Dims::kMaxRank];
+  for (int d = 0; d < rank; ++d) {
+    win_lo[d] = input.lo[d];
+    win_ext[d] = input.extent[d];
+    box_lo[d] = lo[d];
+    box_hi[d] = lo[d] + extent[d];
+    rel0[d] = out_lo[d];
+    o[d] = box_lo[d];
+  }
+  while (true) {
+    ClampedPoint p;
+    for (int k = 0; k < pad; ++k) p.hi[k] = 1;
+    bool batch_inside = true;
+    for (int d = 0; d < rank; ++d) {
+      const i64 first = o[d] * dims[d].scale + dims[d].base - win_lo[d];
+      if (d == 0) {
+        batch_inside = first >= 0 && first < win_ext[0];
+      } else {
+        tap_interval(dims[d], first, win_ext[d], &p.lo[pad + d - 1],
+                     &p.hi[pad + d - 1]);
+      }
+      p.in_off += first * in_stride[d];
+      p.out_off += (o[d] - rel0[d]) * out_stride[d];
+    }
+    if (!batch_inside) p.hi[0] = p.lo[0];
+    pts->push_back(p);
+    int d = rank - 1;
+    for (; d >= 0; --d) {
+      if (++o[d] < box_hi[d]) break;
+      o[d] = box_lo[d];
+    }
+    if (d < 0) return;
+  }
+}
+
+/// Fast path for every convolution except transposed stride > 1. Output
+/// channels are walked in m-blocks of up to kTileM that never straddle a
+/// group; each m-block's weights are packed once. The interior box (where
+/// every tap of every point reads inside the input window) is swept row by
+/// row in tiles of kTileX points plus a one-point tail; the boundary slabs
+/// around it (or the whole region, if the interior is empty) run one point
+/// at a time over the point's clamped tap box. Results are bit-identical to
+/// conv_box (see conv_tile; a skipped tap adds 0·w = ±0 there, which never
+/// changes an accumulator that starts at +0).
+void conv_fast(const Node& node, const RegionInput& input,
+               std::span<const float> weights, const detail::StencilDim* dims,
+               bool has_interior, const i64* ilo, const i64* ihi,
+               const Dims& out_lo, const Dims& out_extent,
+               std::span<float> out) {
   const OpAttrs& a = node.attrs;
   const int rank = out_lo.rank();
   const int spatial_rank = rank - 1;
@@ -170,10 +296,21 @@ void conv_interior(const Node& node, const RegionInput& input,
     in_stride[d] = in_stride[d + 1] * input.extent[d + 1];
     out_stride[d] = out_stride[d + 1] * out_extent[d + 1];
   }
+  TapSteps step;
+  BDL_CHECK(spatial_rank <= kTapDims);
+  i64 tap_idx = 1;
+  for (int d = spatial_rank - 1; d >= 0; --d) {
+    const int k = kTapDims - spatial_rank + d;
+    step.in[k] = dims[d + 1].tapc * in_stride[d + 1];
+    step.idx[k] = tap_idx;
+    tap_idx *= a.kernel[d];
+  }
 
   // Scratch: per-tap input-offset deltas (row-major tap order, matching the
-  // generic path's accumulation sequence), then one packed m-block.
+  // generic path's accumulation sequence), the boundary points, then one
+  // packed m-block.
   thread_local std::vector<i64> tap_off;
+  thread_local std::vector<ClampedPoint> clamped;
   thread_local std::vector<F64x2> packed;
   tap_off.resize(static_cast<size_t>(taps));
   packed.resize(static_cast<size_t>(taps * c_group * kTileV));
@@ -187,12 +324,22 @@ void conv_interior(const Node& node, const RegionInput& input,
       tap_off[static_cast<size_t>(t++)] = off;
     });
   }
+  clamped.clear();
+  auto clamp = [&](const Dims& lo, const Dims& extent) {
+    clamp_box(dims, rank, input, in_stride, out_stride, out_lo, lo, extent,
+              &clamped);
+  };
+  if (has_interior) {
+    detail::for_each_boundary_slab(rank, out_lo, out_extent, ilo, ihi, clamp);
+  } else {
+    clamp(out_lo, out_extent);
+  }
 
   const bool relu = a.fused_relu;
   const int last = rank - 1;
   const i64 sx = dims[last].scale;
-  const i64 row_x0 = ilo[last];
-  const i64 row_len = ihi[last] - row_x0;
+  const i64 row_x0 = has_interior ? ilo[last] : 0;
+  const i64 row_len = has_interior ? ihi[last] - row_x0 : 0;
   const i64 row_full = row_len - row_len % kTileX;
   for (i64 g = 0; g < a.groups; ++g) {
     const float* in_g = input.data.data() + g * c_group * in_points;
@@ -214,9 +361,15 @@ void conv_interior(const Node& node, const RegionInput& input,
           }
         }
       }
+      float* out_m = out.data() + m0 * out_points;
+      const ConvPointFn point = kPoint[mv - 1];
+      for (const ClampedPoint& p : clamped) {
+        point(in_g, in_points, p, step, c_group, packed.data(), mb, relu,
+              out_m + p.out_off, out_points);
+      }
+      if (!has_interior) continue;
       const ConvTileFn full = kTileFull[mv - 1];
       const ConvTileFn one = kTileOne[mv - 1];
-      float* out_m = out.data() + m0 * out_points;
       i64 idx[Dims::kMaxRank];
       for (int d = 0; d < last; ++d) idx[d] = ilo[d];
       while (true) {
@@ -290,34 +443,27 @@ void conv_region(const Node& node, const RegionInput& input,
     }
   }
 
-  detail::StencilDim dims[Dims::kMaxRank];
-  i64 ilo[Dims::kMaxRank];
-  i64 ihi[Dims::kMaxRank];
-  if (fast_ok) {
-    dims[0] = detail::StencilDim{};  // batch: identity, no taps
-    for (int d = 0; d < spatial_rank; ++d) {
-      detail::StencilDim& s = dims[d + 1];
-      if (!a.transposed) {
-        s = {a.stride[d], -a.padding[d], a.dilation[d], a.kernel[d]};
-      } else {
-        s = {1, a.padding[d], -a.dilation[d], a.kernel[d]};
-      }
-    }
-    fast_ok = detail::interior_box(rank, dims, input.lo, input.extent, out_lo,
-                                   out_extent, ilo, ihi);
-  }
   if (!fast_ok) {
     conv_box(node, input, weights, out_lo, out_extent, out_lo, out_extent,
              out);
     return;
   }
-  conv_interior(node, input, weights, dims, ilo, ihi, out_lo, out_extent, out);
-  detail::for_each_boundary_slab(
-      rank, out_lo, out_extent, ilo, ihi,
-      [&](const Dims& slab_lo, const Dims& slab_extent) {
-        conv_box(node, input, weights, slab_lo, slab_extent, out_lo,
-                 out_extent, out);
-      });
+  detail::StencilDim dims[Dims::kMaxRank];
+  dims[0] = detail::StencilDim{};  // batch: identity, no taps
+  for (int d = 0; d < spatial_rank; ++d) {
+    detail::StencilDim& s = dims[d + 1];
+    if (!a.transposed) {
+      s = {a.stride[d], -a.padding[d], a.dilation[d], a.kernel[d]};
+    } else {
+      s = {1, a.padding[d], -a.dilation[d], a.kernel[d]};
+    }
+  }
+  i64 ilo[Dims::kMaxRank];
+  i64 ihi[Dims::kMaxRank];
+  const bool has_interior = detail::interior_box(
+      rank, dims, input.lo, input.extent, out_lo, out_extent, ilo, ihi);
+  conv_fast(node, input, weights, dims, has_interior, ilo, ihi, out_lo,
+            out_extent, out);
 }
 
 }  // namespace brickdl

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -99,24 +100,21 @@ TEST(DifferentialRegression, DepthwiseDilatedOddExtents) {
 // hand-flattened fast loop, no per-tap validity checks) plus boundary slabs;
 // the *_generic variants run the clamping path over the whole region. The
 // sweeps below assert the two paths are *bit-exact* (memcmp, not tolerance)
-// across a seeded corpus of shapes, including windows where the interior is
-// empty (every output point is boundary) and windows with enough halo margin
-// that the interior covers the whole region (no boundary slabs at all).
+// across a seeded corpus of shapes. The exact input window of a region
+// (input_window_blocked) holds every tap, padding positions included, so its
+// interior is the whole region; boundary slabs appear only when the window is
+// clipped to the input layer, as the whole-tensor path (execute_node_full)
+// presents it, or is narrower still.
 
 /// Run `node` (conv or pool) over [out_lo, out_lo+out_extent) with both the
-/// fast-path and generic kernels on the same seeded input window, widened by
-/// `margin` on both sides of every spatial dim, and require identical bits.
-void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
-                                const Dims& out_extent, i64 margin, u64 seed,
-                                const std::string& label) {
+/// fast-path and generic kernels on the same seeded input window
+/// [in_lo, in_lo+in_extent), and require identical bits.
+void expect_window_bit_exact(const Graph& g, int node_id, const Dims& in_lo,
+                             const Dims& in_extent, const Dims& out_lo,
+                             const Dims& out_extent, u64 seed,
+                             const std::string& label) {
   const Node& node = g.node(node_id);
   const Shape in_shape = g.input_shapes(node)[0];
-  Dims in_lo, in_extent;
-  input_window_blocked(node, out_lo, out_extent, &in_lo, &in_extent);
-  for (int d = 1; d < in_lo.rank(); ++d) {
-    in_lo[d] -= margin;
-    in_extent[d] += 2 * margin;
-  }
   const i64 in_ch = in_shape.channels();
   std::vector<float> window(static_cast<size_t>(in_ch * in_extent.product()));
   Rng rng(seed);
@@ -149,22 +147,64 @@ void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
                     << "\n  node: " << node.name
                     << " out_lo=" << out_lo.str()
                     << " out_extent=" << out_extent.str()
-                    << " margin=" << margin << " seed=" << seed;
+                    << " in_lo=" << in_lo.str()
+                    << " in_extent=" << in_extent.str() << " seed=" << seed;
       return;
     }
   }
 }
 
-/// For each generated op, exercise three window styles: the exact input
-/// window (boundary clamping on every side), a margin-4 halo window (the
-/// interior covers the whole region), and a random interior sub-tile with a
-/// nonzero out_lo.
+/// expect_window_bit_exact on the op's exact input window widened by
+/// `margin` on both sides of every spatial dim.
+void expect_fast_path_bit_exact(const Graph& g, int node_id, const Dims& out_lo,
+                                const Dims& out_extent, i64 margin, u64 seed,
+                                const std::string& label) {
+  Dims in_lo, in_extent;
+  input_window_blocked(g.node(node_id), out_lo, out_extent, &in_lo,
+                       &in_extent);
+  for (int d = 1; d < in_lo.rank(); ++d) {
+    in_lo[d] -= margin;
+    in_extent[d] += 2 * margin;
+  }
+  expect_window_bit_exact(g, node_id, in_lo, in_extent, out_lo, out_extent,
+                          seed, label);
+}
+
+/// The exact input window of [out_lo, out_lo+out_extent) clipped to the
+/// input layer. Returns whether clipping removed anything, i.e. whether some
+/// tap of some output point now reads outside the window.
+bool layer_clipped_window(const Graph& g, int node_id, const Dims& out_lo,
+                          const Dims& out_extent, Dims* in_lo,
+                          Dims* in_extent) {
+  const Node& node = g.node(node_id);
+  const Dims layer = g.input_shapes(node)[0].blocked_dims();
+  input_window_blocked(node, out_lo, out_extent, in_lo, in_extent);
+  bool clipped = false;
+  for (int d = 0; d < layer.rank(); ++d) {
+    const i64 lo = std::max<i64>((*in_lo)[d], 0);
+    const i64 hi = std::min((*in_lo)[d] + (*in_extent)[d], layer[d]);
+    clipped |= lo != (*in_lo)[d] || hi - lo != (*in_extent)[d];
+    (*in_lo)[d] = lo;
+    (*in_extent)[d] = hi - lo;
+  }
+  return clipped;
+}
+
+/// For each generated op, exercise four window styles: the exact input
+/// window, a margin-4 halo window, a random sub-tile with a nonzero out_lo
+/// (all three: the interior covers the whole region), and the exact window
+/// clipped to the input layer (boundary slabs wherever padding is read).
 void sweep_windows(const Graph& g, int node_id, Rng* rng, u64 seed,
                    const std::string& label) {
   const Node& node = g.node(node_id);
   const Dims out = node.out_shape.blocked_dims();
   const Dims zero = Dims::filled(out.rank(), 0);
   expect_fast_path_bit_exact(g, node_id, zero, out, 0, seed, label + "/exact");
+  Dims in_lo, in_extent;
+  if (layer_clipped_window(g, node_id, zero, out, &in_lo, &in_extent)) {
+    expect_window_bit_exact(g, node_id, in_lo, in_extent, zero, out, seed,
+                            label + "/layer-clipped");
+  }
   expect_fast_path_bit_exact(g, node_id, zero, out, 4, seed,
                              label + "/wide-halo");
   Dims lo = zero, extent = out;
@@ -262,18 +302,21 @@ TEST(FastPathPerf, SeededPoolSweep) {
   EXPECT_GE(executed, 12);
 }
 
-// 3x3 stride-1 conv with padding 1 over a 2x2 image, exact input window:
-// every output point has at least one tap outside the window, so the interior
-// box is empty and the fast path must route the whole region through the
-// boundary (generic) code.
+// 3x3 stride-1 conv with padding 1 over a 2x2 image, input window clipped to
+// the layer: every output point has at least one tap outside the window, so
+// the interior box is empty and the fast path must route the whole region
+// through the boundary code.
 TEST(FastPathPerf, EmptyInteriorConv) {
   Graph g("empty_interior");
   const int x = g.add_input("in", Shape{1, 2, 2, 2});
   const int c =
       g.add_conv(x, "op", Dims{3, 3}, 3, Dims{1, 1}, Dims{1, 1});
   const Dims out = g.node(c).out_shape.blocked_dims();
-  expect_fast_path_bit_exact(g, c, Dims::filled(out.rank(), 0), out,
-                             /*margin=*/0, /*seed=*/11, "empty-interior-conv");
+  const Dims zero = Dims::filled(out.rank(), 0);
+  Dims in_lo, in_extent;
+  ASSERT_TRUE(layer_clipped_window(g, c, zero, out, &in_lo, &in_extent));
+  expect_window_bit_exact(g, c, in_lo, in_extent, zero, out, /*seed=*/11,
+                          "empty-interior-conv");
 }
 
 // The same stencil with a margin-3 halo window: every tap of every output
@@ -382,16 +425,126 @@ TEST(FastPathPerf, ConvTailFusedRelu) {
   expect_conv_bit_exact(g, c, 29, "fused_relu");
 }
 
-// Pool analogues of the two extremes above (max pooling: out-of-window reads
-// as zero, the documented BrickDL padding semantics).
+// Named regressions for the clamped-tap conv boundary (DESIGN.md §9.1): the
+// boundary slabs around the interior, or the whole region when the interior
+// is empty, run one point at a time over each point's valid tap box. Each
+// case runs conv_region against conv_region_generic (memcmp) on windows that
+// are guaranteed to have boundary points: the whole output and seeded
+// sub-tiles with the input window clipped to the layer, and the whole output
+// with the exact window shrunk by one on every side.
+void expect_conv_boundary_bit_exact(const Graph& g, int node_id, u64 seed,
+                                    const std::string& label) {
+  const Dims out = g.node(node_id).out_shape.blocked_dims();
+  const Dims zero = Dims::filled(out.rank(), 0);
+  Dims in_lo, in_extent;
+  ASSERT_TRUE(layer_clipped_window(g, node_id, zero, out, &in_lo, &in_extent))
+      << label << ": the layer-clipped window has no boundary points";
+  expect_window_bit_exact(g, node_id, in_lo, in_extent, zero, out, seed,
+                          label + "/layer-clipped");
+  Rng rng(seed);
+  for (int tile = 0; tile < 4; ++tile) {
+    Dims lo = zero, extent = out;
+    for (int d = 0; d < out.rank(); ++d) {
+      lo[d] = static_cast<i64>(rng.next_below(static_cast<u64>(out[d])));
+      extent[d] = 1 + static_cast<i64>(
+                          rng.next_below(static_cast<u64>(out[d] - lo[d])));
+    }
+    layer_clipped_window(g, node_id, lo, extent, &in_lo, &in_extent);
+    expect_window_bit_exact(g, node_id, in_lo, in_extent, lo, extent, seed,
+                            label + "/tile" + std::to_string(tile));
+  }
+  input_window_blocked(g.node(node_id), zero, out, &in_lo, &in_extent);
+  for (int d = 1; d < in_lo.rank(); ++d) {
+    if (in_extent[d] <= 2) continue;
+    in_lo[d] += 1;
+    in_extent[d] -= 2;
+  }
+  expect_window_bit_exact(g, node_id, in_lo, in_extent, zero, out, seed,
+                          label + "/shrunk");
+}
+
+TEST(FastPathPerf, ConvBoundaryPadding) {
+  for (const i64 pad : {1, 2, 3}) {
+    Graph g("conv_boundary_pad");
+    const int x = g.add_input("in", Shape{1, 3, 9, 8});
+    const int c = g.add_conv(x, "op", Dims{5, 5}, 5, Dims{1, 1},
+                             Dims{pad, pad});
+    expect_conv_boundary_bit_exact(g, c, 31, "padding=" + std::to_string(pad));
+  }
+}
+
+// The ResNet stem: 7x7, stride 2, padding 3.
+TEST(FastPathPerf, ConvBoundaryStem7x7Stride2) {
+  Graph g("conv_boundary_stem");
+  const int x = g.add_input("in", Shape{2, 3, 19, 22});
+  const int c = g.add_conv(x, "op", Dims{7, 7}, 6, Dims{2, 2}, Dims{3, 3});
+  expect_conv_boundary_bit_exact(g, c, 32, "stem 7x7/2");
+}
+
+TEST(FastPathPerf, ConvBoundaryDilation2) {
+  Graph g("conv_boundary_dilation");
+  const int x = g.add_input("in", Shape{1, 3, 9, 10});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 5, Dims{1, 1}, Dims{2, 2},
+                           Dims{2, 2});
+  expect_conv_boundary_bit_exact(g, c, 33, "dilation=2");
+}
+
+TEST(FastPathPerf, ConvBoundaryGroups3) {
+  Graph g("conv_boundary_groups");
+  const int x = g.add_input("in", Shape{1, 6, 8, 7});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1}, {},
+                           /*groups=*/3);
+  expect_conv_boundary_bit_exact(g, c, 34, "groups=3");
+}
+
+TEST(FastPathPerf, ConvBoundaryDepthwise) {
+  for (const i64 multiplier : {1, 2}) {
+    Graph g("conv_boundary_dw");
+    const int x = g.add_input("in", Shape{1, 5, 8, 9});
+    const int c = g.add_conv(x, "op", Dims{3, 3}, 5 * multiplier, Dims{1, 1},
+                             Dims{1, 1}, {}, /*groups=*/5);
+    expect_conv_boundary_bit_exact(
+        g, c, 35, "depthwise x" + std::to_string(multiplier));
+  }
+}
+
+TEST(FastPathPerf, ConvBoundaryTransposedStride1) {
+  Graph g("conv_boundary_deconv");
+  const int x = g.add_input("in", Shape{1, 3, 7, 9});
+  const int c = g.add_deconv(x, "op", Dims{3, 3}, 5, Dims{1, 1}, Dims{1, 1});
+  expect_conv_boundary_bit_exact(g, c, 36, "transposed stride=1");
+}
+
+TEST(FastPathPerf, ConvBoundary3DKernel) {
+  Graph g("conv_boundary_3d");
+  const int x = g.add_input("in", Shape{1, 2, 5, 6, 7});
+  const int c = g.add_conv(x, "op", Dims{3, 3, 3}, 5, Dims{1, 1, 1},
+                           Dims{1, 1, 1});
+  expect_conv_boundary_bit_exact(g, c, 37, "3d");
+}
+
+TEST(FastPathPerf, ConvBoundaryFusedRelu) {
+  Graph g("conv_boundary_relu");
+  const int x = g.add_input("in", Shape{1, 3, 8, 7});
+  const int c = g.add_conv(x, "op", Dims{3, 3}, 6, Dims{1, 1}, Dims{1, 1}, {},
+                           1, /*fused_relu=*/true);
+  expect_conv_boundary_bit_exact(g, c, 38, "fused_relu");
+}
+
+// Pool analogues of EmptyInteriorConv and WholeRegionInteriorConv (max
+// pooling: out-of-window reads as zero, the documented BrickDL padding
+// semantics).
 TEST(FastPathPerf, EmptyAndWholeInteriorPool) {
   Graph g("pool_extremes");
   const int x = g.add_input("in", Shape{1, 3, 2, 2});
   const int p = g.add_pool(x, "op", PoolKind::kMax, Dims{3, 3}, Dims{1, 1},
                            Dims{1, 1});
   const Dims out = g.node(p).out_shape.blocked_dims();
-  expect_fast_path_bit_exact(g, p, Dims::filled(out.rank(), 0), out,
-                             /*margin=*/0, /*seed=*/13, "empty-interior-pool");
+  const Dims zero = Dims::filled(out.rank(), 0);
+  Dims in_lo, in_extent;
+  ASSERT_TRUE(layer_clipped_window(g, p, zero, out, &in_lo, &in_extent));
+  expect_window_bit_exact(g, p, in_lo, in_extent, zero, out, /*seed=*/13,
+                          "empty-interior-pool");
   expect_fast_path_bit_exact(g, p, Dims::filled(out.rank(), 0), out,
                              /*margin=*/3, /*seed=*/13, "whole-interior-pool");
 }

@@ -16,8 +16,11 @@ exists to defend:
 
 A pair regresses when its current speedup drops below ``baseline * (1 -
 tolerance)`` (default tolerance 0.25, i.e. +/-25 percent; improvements never
-fail). Exit status: 0 clean, 1 regression or missing pair, 2 usage/setup
-error.
+fail). On a shared host one ``--quick`` run moves a pair's ratio by about
++/-20 percent with no code change, so ``--bench`` runs the binary
+``BENCH_RUNS`` (3) times and gates each pair's *median* speedup;
+``--current`` gates the single pre-recorded run it is given. Exit status: 0
+clean, 1 regression or missing pair, 2 usage/setup error.
 
 ``--serve-current`` additionally (or standalone) compares a
 ``brickdl-serve-bench-v1`` document — written by ``brickdl_serve --overload
@@ -48,10 +51,13 @@ Usage:
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 
+# mb_kernels --quick runs per --bench invocation; each pair's median is gated.
+BENCH_RUNS = 3
 
 def load_results(path):
     """Return {name: ns_per_call} from an mb_kernels JSON dump."""
@@ -76,6 +82,19 @@ def speedup_pairs(results):
             base = results.get("parallel_for/grain1")
             if base is not None:
                 yield (name, base, ns)
+
+
+def median_speedups(runs):
+    """{label: median speedup} over the pairs each run in `runs` measured.
+
+    A pair missing from some runs takes the median of the runs that have it.
+    """
+    samples = {}
+    for results in runs:
+        for label, slow, fast in speedup_pairs(results):
+            samples.setdefault(label, []).append(slow / fast)
+    return {label: statistics.median(values)
+            for label, values in samples.items()}
 
 
 def load_serve(path):
@@ -176,7 +195,10 @@ def check_calibration(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", help="mb_kernels binary to run (--quick mode)")
-    parser.add_argument("--current", help="pre-recorded mb_kernels JSON (skips running)")
+    parser.add_argument(
+        "--current",
+        help="pre-recorded mb_kernels JSON result (skips running the bench)",
+    )
     parser.add_argument(
         "--baseline",
         default=os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json"),
@@ -221,28 +243,33 @@ def main():
     if not (args.bench or args.current):
         return 0
 
-    current_path = args.current
-    tmp = None
-    if args.bench:
-        tmp = tempfile.NamedTemporaryFile(suffix=".json", delete=False)
-        tmp.close()
-        current_path = tmp.name
-        cmd = [args.bench, "--quick", "--json", current_path]
-        print("running:", " ".join(cmd), flush=True)
-        proc = subprocess.run(cmd)
-        if proc.returncode != 0:
-            print(f"FAIL: {args.bench} exited {proc.returncode}", file=sys.stderr)
-            return 2
-
+    current_paths = [args.current] if args.current else []
+    tmp_paths = []
     try:
+        if args.bench:
+            for run in range(BENCH_RUNS):
+                tmp = tempfile.NamedTemporaryFile(suffix=".json", delete=False)
+                tmp.close()
+                tmp_paths.append(tmp.name)
+                cmd = [args.bench, "--quick", "--json", tmp.name]
+                print(f"running ({run + 1}/{BENCH_RUNS}):", " ".join(cmd),
+                      flush=True)
+                proc = subprocess.run(cmd)
+                if proc.returncode != 0:
+                    print(f"FAIL: {args.bench} exited {proc.returncode}",
+                          file=sys.stderr)
+                    return 2
+            current_paths = tmp_paths
         baseline = load_results(args.baseline)
-        current = load_results(current_path)
+        runs = [load_results(path) for path in current_paths]
     finally:
-        if tmp is not None:
-            os.unlink(tmp.name)
+        for path in tmp_paths:
+            os.unlink(path)
 
     base_pairs = {label: slow / fast for label, slow, fast in speedup_pairs(baseline)}
-    cur_pairs = {label: slow / fast for label, slow, fast in speedup_pairs(current)}
+    cur_pairs = median_speedups(runs)
+    if len(runs) > 1:
+        print(f"median speedup of {len(runs)} runs per pair")
 
     failures = 0
     width = max(len(label) for label in base_pairs) if base_pairs else 0
