@@ -61,14 +61,11 @@ int run(bool quick) {
   TextTable table({"model", "cuDNN", "BrickDL", "TorchScript", "XLA",
                    "BrickDL speedup", "cuDNN mem%", "BrickDL mem%",
                    "DRAM txn ratio"});
-  // Cross-subgraph pipelining (DESIGN.md §14) is a schedule change, not a
-  // numerics change: the modeled DRAM/compute time is identical by
-  // construction, so the pipelined-vs-barriered comparison reports host
-  // wall-clock of the engine run plus the chain shape and the idle tail
-  // the merged frontier removes.
-  TextTable pipeline_table({"model", "barriered (s)", "pipelined (s)",
-                            "wall ratio", "chains", "chained subgraphs",
-                            "cross-claims"});
+  // Chained memoized execution (DESIGN.md §14): host wall-clock of the
+  // engine run plus the chain shape and the cross-boundary claims the
+  // merged frontier makes.
+  TextTable pipeline_table({"model", "wall (s)", "chains",
+                            "chained subgraphs", "cross-claims"});
   std::vector<Bar> bars;
 
   for (const ModelRun& run : workloads(quick)) {
@@ -90,26 +87,20 @@ int run(bool quick) {
     options.partition.max_layers = run.max_layers;
     const RunResult brickdl = run_brickdl(fused_graph, options);
 
-    // Pipelined vs barriered wall clock on the same plan (§14). Both runs
-    // simulate identical transactions; only the schedule differs. The
-    // memoized strategy is forced (literal §3.3.2 rules) because chains
-    // only form over consecutive memoized subgraphs, and the cost-aware
-    // planner prefers padded bricks for these workloads.
+    // Chains on the same plan (§14). The memoized strategy is forced
+    // (literal §3.3.2 rules) because chains only form over consecutive
+    // memoized subgraphs, and the cost-aware planner prefers padded bricks
+    // for these workloads.
     {
-      EngineOptions barriered = options;
-      barriered.partition.cost_aware = false;
-      barriered.force_strategy = Strategy::kMemoized;
-      barriered.pipeline_subgraphs = false;
-      EngineOptions pipelined = barriered;
-      pipelined.pipeline_subgraphs = true;
+      EngineOptions pipelined = options;
+      pipelined.partition.cost_aware = false;
+      pipelined.force_strategy = Strategy::kMemoized;
       std::vector<SubgraphReport> reports;
       const auto t0 = std::chrono::steady_clock::now();
-      run_brickdl(fused_graph, barriered);
-      const auto t1 = std::chrono::steady_clock::now();
       run_brickdl(fused_graph, pipelined, &reports);
-      const auto t2 = std::chrono::steady_clock::now();
-      const double barriered_s = std::chrono::duration<double>(t1 - t0).count();
-      const double pipelined_s = std::chrono::duration<double>(t2 - t1).count();
+      const double pipelined_s = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - t0)
+                                     .count();
       i64 chains = 0, chained = 0, cross_claims = 0;
       for (const SubgraphReport& report : reports) {
         if (!report.pipelined) continue;
@@ -119,10 +110,9 @@ int run(bool quick) {
           cross_claims += report.memo.cross_boundary_claims;
         }
       }
-      pipeline_table.add_row(
-          {run.name, TextTable::num(barriered_s), TextTable::num(pipelined_s),
-           rel(barriered_s, pipelined_s), std::to_string(chains),
-           std::to_string(chained), std::to_string(cross_claims)});
+      pipeline_table.add_row({run.name, TextTable::num(pipelined_s),
+                              std::to_string(chains), std::to_string(chained),
+                              std::to_string(cross_claims)});
     }
 
     const double base = cudnn.serial_total();
@@ -164,9 +154,8 @@ int run(bool quick) {
               "baseline:\n%s\n",
               render_bars(bars, 60, "x cuDNN").c_str());
   std::printf(
-      "Cross-subgraph pipelining (DESIGN.md §14), host wall clock of the "
-      "engine run\n(wall ratio > 1.00 = pipelined faster; modeled DRAM and "
-      "compute time are\nidentical by construction):\n%s\n",
+      "Chained memoized execution (DESIGN.md §14), host wall clock of the "
+      "engine run\nwith the memoized strategy forced:\n%s\n",
       pipeline_table.render().c_str());
   emit_bench_report("fig07_end_to_end");
   return 0;

@@ -67,62 +67,46 @@ int run(bool quick) {
       "side: Compute+Atomics+Other):\n%s\n",
       render_bars(bars, 60, "ms").c_str());
 
-  // Idle tail per subgraph (DESIGN.md §14): under the barriered schedule
-  // every memoized subgraph pays its own straggler tail — workers that
-  // finish their root range idle until the slowest one closes the barrier.
-  // Pipelining merges consecutive memoized subgraphs into one chain, so the
-  // tails collapse into a single tail per chain: finished workers cross the
-  // retired boundary and compute downstream bricks instead of idling. The
-  // virtual scheduler measures the tail in deterministic worker ticks.
+  // Idle tail per chain (DESIGN.md §14): consecutive memoized subgraphs run
+  // as one chain, so instead of one straggler tail per subgraph (workers
+  // that finish their root range idling at a barrier) each chain pays a
+  // single tail: finished workers cross the retired boundary and compute
+  // downstream bricks. The virtual scheduler measures the tail in
+  // deterministic worker ticks.
   {
     // Like the C/P/M table above, this section forces the memoized strategy
     // (the paper's literal §3.3.2 rules, not cost-aware selection) so the
     // case study shows real chains on both the quick and full configs.
-    EngineOptions barriered;
-    barriered.partition.cost_aware = false;
-    barriered.force_strategy = Strategy::kMemoized;
-    barriered.pipeline_subgraphs = false;
-    std::vector<SubgraphReport> flat;
-    run_brickdl(graph, barriered, &flat);
-    EngineOptions pipelined = barriered;
-    pipelined.pipeline_subgraphs = true;
+    EngineOptions options;
+    options.partition.cost_aware = false;
+    options.force_strategy = Strategy::kMemoized;
     std::vector<SubgraphReport> chained;
-    run_brickdl(graph, pipelined, &chained);
+    run_brickdl(graph, options, &chained);
 
-    TextTable idle({"subgraph", "strategy", "barriered idle-tail",
-                    "pipelined", "chain len", "chain idle-tail"});
-    double total_flat = 0.0, total_chained = 0.0;
-    for (size_t i = 0; i < flat.size() && i < chained.size(); ++i) {
-      const bool memo = flat[i].executed == Strategy::kMemoized;
-      if (memo) total_flat += flat[i].memo.idle_tail_fraction;
-      const bool lead =
-          chained[i].pipelined && chained[i].memo.bricks_computed > 0;
-      if (lead) {
-        total_chained += chained[i].memo.idle_tail_fraction;
-      } else if (!chained[i].pipelined &&
-                 chained[i].executed == Strategy::kMemoized) {
-        total_chained += chained[i].memo.idle_tail_fraction;
-      }
+    TextTable idle({"subgraph", "strategy", "pipelined", "chain len",
+                    "chain idle-tail"});
+    double total = 0.0;
+    for (size_t i = 0; i < chained.size(); ++i) {
+      const SubgraphReport& report = chained[i];
+      // The lead member (or a lone memoized subgraph) carries the tail.
+      const bool carries = report.executed == Strategy::kMemoized &&
+                           report.memo.bricks_computed > 0;
+      if (carries) total += report.memo.idle_tail_fraction;
       idle.add_row(
-          {"Subgraph " + std::to_string(i + 1), strategy_name(flat[i].executed),
-           memo ? TextTable::num(flat[i].memo.idle_tail_fraction * 100.0, 2) +
-                      "%"
-                : "-",
-           chained[i].pipelined ? "yes" : "no",
-           chained[i].pipelined ? std::to_string(chained[i].chain_len) : "-",
-           lead ? TextTable::num(chained[i].memo.idle_tail_fraction * 100.0,
-                                 2) +
-                      "%"
-                : "-"});
+          {"Subgraph " + std::to_string(i + 1),
+           strategy_name(report.executed), report.pipelined ? "yes" : "no",
+           report.pipelined ? std::to_string(report.chain_len) : "-",
+           carries ? TextTable::num(report.memo.idle_tail_fraction * 100.0,
+                                    2) +
+                         "%"
+                   : "-"});
     }
     std::printf(
-        "Per-subgraph idle tail, barriered vs pipelined (share of worker "
-        "ticks spent\nwaiting at the inter-subgraph barrier; chain tails are "
-        "reported once on the\nchain's first member):\n%s\n",
+        "Per-chain idle tail (share of worker ticks spent waiting for the "
+        "chain's last\nworker; a chain's tail is reported once, on its first "
+        "member):\n%s\n",
         idle.render().c_str());
-    std::printf("Summed idle-tail fraction: barriered %.2f%%  pipelined "
-                "%.2f%%\n",
-                total_flat * 100.0, total_chained * 100.0);
+    std::printf("Summed idle-tail fraction: %.2f%%\n", total * 100.0);
   }
   return 0;
 }

@@ -60,6 +60,91 @@ void warm_pool(ThreadPool& pool, Backend& backend) {
   pool.wait_idle();
 }
 
+/// Run `body`, classifying a throw: a StatusError keeps its code, a tripped
+/// BDL_CHECK means the plan and graph disagree (e.g. an executor rejected
+/// the subgraph's structure), anything else is a kernel failure.
+template <class Body>
+Status catch_as_status(Body&& body) {
+  try {
+    return body();
+  } catch (const StatusError& e) {
+    return e.status();
+  } catch (const Error& e) {
+    return Status(StatusCode::kInvalidGraph, e.what());
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kKernelFailure, e.what());
+  }
+}
+
+/// Run memoized `stages` — one subgraph, or a chain of consecutive ones
+/// (DESIGN.md §14) — through one MemoizedExecutor on the driver `options`
+/// selects. `io` maps every stage terminal and every input external to the
+/// whole chain.
+Status run_memoized_checked(const Graph& graph,
+                            std::vector<MemoizedExecutor::StageSpec> stages,
+                            Backend& backend,
+                            const std::unordered_map<int, TensorId>& io,
+                            const EngineOptions& options,
+                            MemoizedExecutor::Stats* stats_out) {
+  return catch_as_status([&] {
+    const int workers = std::min(options.memo_workers, backend.num_workers());
+    MemoizedExecutor exec(graph, std::move(stages), backend, io, workers,
+                          options.memo_watchdog);
+    Status status;
+    if (options.memo_parallel) {
+      ThreadPool pool(workers, options.numa_pin);
+      if (options.numa_pin) warm_pool(pool, backend);
+      status = exec.run_parallel_checked(pool);
+    } else {
+      status = exec.run_checked();
+    }
+    if (stats_out) *stats_out = exec.stats();
+    return status;
+  });
+}
+
+/// kKernelFailure naming the first NaN/Inf in tensor `id` (`EngineOptions::
+/// verify_finite`), ok otherwise.
+Status check_finite(NumericBackend& numeric, TensorId id,
+                    const std::string& name) {
+  const Tensor t = numeric.read(id);
+  for (i64 i = 0; i < t.elements(); ++i) {
+    if (!std::isfinite(t.flat(i))) {
+      return Status(StatusCode::kKernelFailure,
+                    "non-finite value in output of '" + name +
+                        "' (flat index " + std::to_string(i) + ")");
+    }
+  }
+  return Status();
+}
+
+/// Every rung of a subgraph's ladder failed: print a replay line so the
+/// failure can be reproduced outside the engine, and return the final (most
+/// conservative) strategy's classification to fail the run with.
+Status unrecoverable(const Graph& graph, const SubgraphReport& report,
+                     const EngineOptions& options) {
+  const std::string& name = graph.node(report.plan.sg.terminal()).name;
+  const Status& last = report.attempts.back().status;
+  std::ostringstream oss;
+  oss << "brickdl: unrecoverable failure in graph '" << graph.name()
+      << "', subgraph terminating at '" << name << "':";
+  for (const StrategyAttempt& a : report.attempts) {
+    oss << " [" << strategy_name(a.strategy) << ": " << a.status.to_string()
+        << "]";
+  }
+  oss << "\nbrickdl: replay: run_planned_subgraph_checked on '" << name
+      << "' with force_brick_side=" << report.plan.brick_side
+      << " memo_workers=" << options.memo_workers
+      << " memo_parallel=" << (options.memo_parallel ? 1 : 0)
+      << " (cf. brickdl_fuzz --seed/--graph-idx for fuzzer-found graphs)";
+  std::cerr << oss.str() << std::endl;
+  if (options.metrics) obs::metrics().counter("engine.failures").add(1);
+  return Status(last.code(), "subgraph terminating at '" + name +
+                                 "' failed after " +
+                                 std::to_string(report.attempts.size()) +
+                                 " strategies; last: " + last.to_string());
+}
+
 }  // namespace
 
 Status validate_engine_options(const EngineOptions& options) {
@@ -315,29 +400,16 @@ Status run_planned_subgraph_checked(
   full_io[sg.terminal()] = out;
   std::vector<TensorId> vendor_interior;
 
-  try {
+  const Status status = catch_as_status([&]() -> Status {
     switch (planned.strategy) {
       case Strategy::kPadded: {
         const HaloPlan plan(graph, sg, planned.brick_extent);
         PaddedExecutor exec(graph, sg, plan, backend, full_io);
         return exec.run_checked();
       }
-      case Strategy::kMemoized: {
-        const int workers =
-            std::min(options.memo_workers, backend.num_workers());
-        MemoizedExecutor exec(graph, sg, planned.brick_extent, backend,
-                              full_io, workers, options.memo_watchdog);
-        Status status;
-        if (options.memo_parallel) {
-          ThreadPool pool(workers, options.numa_pin);
-          if (options.numa_pin) warm_pool(pool, backend);
-          status = exec.run_parallel_checked(pool);
-        } else {
-          status = exec.run_checked();
-        }
-        if (stats_out) *stats_out = exec.stats();
-        return status;
-      }
+      case Strategy::kMemoized:
+        return run_memoized_checked(graph, {{&sg, planned.brick_extent}},
+                                    backend, full_io, options, stats_out);
       case Strategy::kWavefront: {
         WavefrontExecutor exec(graph, sg, planned.brick_extent, backend,
                                full_io);
@@ -365,19 +437,12 @@ Status run_planned_subgraph_checked(
         return Status();
       }
     }
-  } catch (const StatusError& e) {
+    return Status();
+  });
+  if (!status.ok()) {
     for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return e.status();
-  } catch (const Error& e) {
-    // A BDL_CHECK tripping below here means the plan and graph disagree
-    // (e.g. an executor rejected the subgraph's structure).
-    for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return Status(StatusCode::kInvalidGraph, e.what());
-  } catch (const std::exception& e) {
-    for (TensorId id : vendor_interior) backend.discard_tensor(id);
-    return Status(StatusCode::kKernelFailure, e.what());
   }
-  return Status();
+  return status;
 }
 
 MemoizedExecutor::Stats run_planned_subgraph(
@@ -391,290 +456,205 @@ MemoizedExecutor::Stats run_planned_subgraph(
   return stats;
 }
 
-Status Engine::run_subgraph_barriered(
-    Backend& backend, NumericBackend* numeric, ModelBackend* model,
-    size_t index, std::unordered_map<int, TensorId>& boundary,
-    EngineResult& result) {
-  const PlannedSubgraph& planned = partition_.subgraphs[index];
-  const Subgraph& sg = planned.sg;
-  const Node& terminal = graph_.node(sg.terminal());
-  const i64 subgraph_index = static_cast<i64>(index);
-  obs::TraceSpan sg_span("engine", "subgraph:" + terminal.name,
-                         {{"subgraph", subgraph_index},
-                          {"layers", static_cast<i64>(sg.nodes.size())},
-                          {"brick_side", planned.brick_side}},
-                         options_.trace);
+size_t Engine::group_end(size_t begin) const {
+  // Profile mode flushes the simulator per subgraph for byte attribution,
+  // which needs the barrier, so every group there has one member.
+  const auto& subs = partition_.subgraphs;
+  size_t end = begin + 1;
+  if (options_.profile || subs[begin].strategy != Strategy::kMemoized) {
+    return end;
+  }
+  while (end < subs.size() && subs[end].strategy == Strategy::kMemoized &&
+         subs[end].brick_extent.rank() == subs[begin].brick_extent.rank()) {
+    ++end;
+  }
+  return end;
+}
 
-  std::unordered_map<int, TensorId> io;
-  for (int p : sg.external_inputs) io.emplace(p, boundary.at(p));
+Status Engine::run_group(Backend& backend, size_t begin, size_t end,
+                         std::unordered_map<int, TensorId>& boundary,
+                         EngineResult& result) {
+  const auto& subs = partition_.subgraphs;
+  const bool chain = end - begin > 1;
+  auto* model = dynamic_cast<ModelBackend*>(&backend);
+  const auto mark = [&] {
+    return model ? ModelMark{model->sim().counters(), model->tally()}
+                 : ModelMark{};
+  };
+  const auto terminal_name = [&](size_t k) -> const std::string& {
+    return graph_.node(subs[k].sg.terminal()).name;
+  };
 
-  TxnCounters before;
-  ComputeTally tally_before;
-  if (model) {
-    before = model->sim().counters();
-    tally_before = model->tally();
+  obs::TraceSpan group_span(
+      "engine",
+      chain ? "chain:" + terminal_name(begin) + ".." + terminal_name(end - 1)
+            : "subgraph:" + terminal_name(begin),
+      {{"subgraph", static_cast<i64>(begin)}}, options_.trace);
+  if (chain) {
+    group_span.arg("members", static_cast<i64>(end - begin));
+  } else {
+    group_span.arg("layers", static_cast<i64>(subs[begin].sg.nodes.size()));
+    group_span.arg("brick_side", subs[begin].brick_side);
   }
 
-  SubgraphReport report;
-  report.plan = planned;
-  if (options_.profile) {
-    // Calibrated constants (when set) price the prediction, so the report's
-    // predicted column reflects the model the plan was optimized under.
-    report.predicted = obs::predict_subgraph(
-        graph_, planned, effective_machine(options_.partition));
-  }
-
-  const auto chain =
-      fallback_chain(planned.strategy, options_.graceful_fallback);
-  bool succeeded = false;
-  for (Strategy strategy : chain) {
-    PlannedSubgraph attempt = planned;
-    attempt.strategy = strategy;
-    const bool merged = strategy != Strategy::kVendor;
-    const bool retry = !report.attempts.empty();
-    const TensorId out_id = backend.register_tensor(
-        terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
-        merged ? planned.brick_extent : Dims{},
-        "out:" + terminal.name + (retry ? ":retry" : ""));
-
-    MemoizedExecutor::Stats stats;
-    Status status;
-    double attempt_seconds = 0.0;
-    {
-      obs::TraceSpan attempt_span(
-          "engine", std::string("attempt:") + strategy_name(strategy),
-          {{"subgraph", subgraph_index}, {"retry", retry ? 1 : 0}},
-          options_.trace);
-      const auto t0 = std::chrono::steady_clock::now();
-      status = run_planned_subgraph_checked(graph_, attempt, backend, io,
-                                            out_id, options_, &stats);
-      attempt_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+  std::vector<SubgraphReport> reports(end - begin);
+  for (size_t k = begin; k < end; ++k) {
+    SubgraphReport& report = reports[k - begin];
+    report.plan = subs[k];
+    if (options_.profile) {
+      // Calibrated constants (when set) price the prediction, so the
+      // report's predicted column reflects the model the plan was optimized
+      // under.
+      report.predicted = obs::predict_subgraph(
+          graph_, subs[k], effective_machine(options_.partition));
     }
-    if (status.ok() && options_.verify_finite && numeric) {
-      const Tensor t = numeric->read(out_id);
-      for (i64 i = 0; i < t.elements(); ++i) {
-        if (!std::isfinite(t.flat(i))) {
-          status = Status(StatusCode::kKernelFailure,
-                          "non-finite value in output of '" +
-                              terminal.name + "' (flat index " +
-                              std::to_string(i) + ")");
-          break;
-        }
+  }
+
+  // First rung: the whole group under its planned strategy.
+  ModelMark before = mark();
+  const bool group_ok = run_attempt(backend, begin, end, subs[begin].strategy,
+                                    before, boundary, reports.data())
+                            .ok();
+  for (size_t k = begin; k < end; ++k) {
+    SubgraphReport& report = reports[k - begin];
+    if (!group_ok) {
+      // Each member continues alone from the next rung of its own ladder.
+      // A later member's delta starts where its predecessor's ended; the
+      // first member's also carries the failed group attempt.
+      if (k > begin) before = mark();
+      obs::TraceSpan member_span("engine", "subgraph:" + terminal_name(k),
+                                 {{"subgraph", static_cast<i64>(k)}},
+                                 options_.trace && chain);
+      const auto ladder =
+          fallback_chain(subs[k].strategy, options_.graceful_fallback);
+      bool ok = false;
+      for (size_t rung = 1; rung < ladder.size() && !ok; ++rung) {
+        ok = run_attempt(backend, k, k + 1, ladder[rung], before, boundary,
+                         &report)
+                 .ok();
+      }
+      if (!ok) return unrecoverable(graph_, report, options_);
+    }
+    if (options_.metrics) {
+      obs::metrics().counter("engine.subgraphs").add(1);
+      if (report.attempts.size() > 1) {
+        obs::metrics().counter("engine.fallbacks").add(1);
       }
     }
-    report.attempts.push_back({strategy, status, attempt_seconds});
-    if (status.ok()) {
-      report.executed = strategy;
-      report.memo = stats;
-      report.wall_seconds = attempt_seconds;
-      boundary[terminal.id] = out_id;
-      succeeded = true;
-      break;
+    result.reports.push_back(std::move(report));
+  }
+  return Status();
+}
+
+Status Engine::run_attempt(Backend& backend, size_t begin, size_t end,
+                           Strategy strategy, const ModelMark& before,
+                           std::unordered_map<int, TensorId>& boundary,
+                           SubgraphReport* reports) {
+  const auto& subs = partition_.subgraphs;
+  const size_t n = end - begin;
+  BDL_CHECK_MSG(n == 1 || strategy == Strategy::kMemoized,
+                "only memoized groups chain");
+  const bool merged = strategy != Strategy::kVendor;
+  const bool retry = !reports[0].attempts.empty();
+
+  // Group io: every member's out-of-group producer (an earlier member's
+  // terminal is an internal boundary the chained executor resolves), plus
+  // one output per member terminal. Interior terminals stay live —
+  // subgraphs beyond the group may still consume them.
+  std::unordered_set<int> terminals;
+  for (size_t k = begin; k < end; ++k) terminals.insert(subs[k].sg.terminal());
+  std::unordered_map<int, TensorId> io;
+  for (size_t k = begin; k < end; ++k) {
+    for (int p : subs[k].sg.external_inputs) {
+      if (!terminals.count(p)) io.emplace(p, boundary.at(p));
     }
-    backend.discard_tensor(out_id);  // failed attempt's output is garbage
+  }
+  std::vector<TensorId> outs;
+  outs.reserve(n);
+  for (size_t k = begin; k < end; ++k) {
+    const Node& terminal = graph_.node(subs[k].sg.terminal());
+    outs.push_back(backend.register_tensor(
+        terminal.out_shape, merged ? Layout::kBricked : Layout::kCanonical,
+        merged ? subs[k].brick_extent : Dims{},
+        "out:" + terminal.name + (retry ? ":retry" : "")));
   }
 
-  if (!succeeded) {
-    // Every rung of the chain failed: emit a replay line so the failure
-    // can be reproduced outside the engine, then fail the run with the
-    // final (most conservative) strategy's classification.
-    const Status& last = report.attempts.back().status;
-    std::ostringstream oss;
-    oss << "brickdl: unrecoverable failure in graph '" << graph_.name()
-        << "', subgraph terminating at '" << terminal.name << "':";
-    for (const StrategyAttempt& a : report.attempts) {
-      oss << " [" << strategy_name(a.strategy) << ": " << a.status.to_string()
-          << "]";
+  MemoizedExecutor::Stats stats;
+  Status status;
+  double seconds = 0.0;
+  {
+    obs::TraceSpan attempt_span(
+        "engine", std::string("attempt:") + strategy_name(strategy),
+        {{"subgraph", static_cast<i64>(begin)}, {"retry", retry ? 1 : 0}},
+        options_.trace);
+    const auto t0 = std::chrono::steady_clock::now();
+    if (n == 1) {
+      PlannedSubgraph attempt = subs[begin];
+      attempt.strategy = strategy;
+      status = run_planned_subgraph_checked(graph_, attempt, backend, io,
+                                            outs[0], options_, &stats);
+    } else {
+      std::vector<MemoizedExecutor::StageSpec> stages;
+      stages.reserve(n);
+      for (size_t k = begin; k < end; ++k) {
+        io[subs[k].sg.terminal()] = outs[k - begin];
+        stages.push_back({&subs[k].sg, subs[k].brick_extent});
+      }
+      status = run_memoized_checked(graph_, std::move(stages), backend, io,
+                                    options_, &stats);
     }
-    oss << "\nbrickdl: replay: run_planned_subgraph_checked on '"
-        << terminal.name << "' with force_brick_side="
-        << planned.brick_side << " memo_workers=" << options_.memo_workers
-        << " memo_parallel=" << (options_.memo_parallel ? 1 : 0)
-        << " (cf. brickdl_fuzz --seed/--graph-idx for fuzzer-found graphs)";
-    std::cerr << oss.str() << std::endl;
-    if (options_.metrics) obs::metrics().counter("engine.failures").add(1);
-    return Status(last.code(),
-                  "subgraph terminating at '" + terminal.name +
-                      "' failed after " +
-                      std::to_string(report.attempts.size()) +
-                      " strategies; last: " + last.to_string());
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+  }
+  auto* numeric = dynamic_cast<NumericBackend*>(&backend);
+  if (options_.verify_finite && numeric) {
+    for (size_t k = 0; k < n && status.ok(); ++k) {
+      status = check_finite(*numeric, outs[k],
+                            graph_.node(subs[begin + k].sg.terminal()).name);
+    }
   }
 
-  if (model) {
+  // The lead member carries the attempt's wall time (a chain's total).
+  for (size_t k = 0; k < n; ++k) {
+    reports[k].attempts.push_back({strategy, status, k == 0 ? seconds : 0.0});
+  }
+  if (!status.ok()) {
+    for (TensorId id : outs) backend.discard_tensor(id);  // garbage
+    return status;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    reports[k].executed = strategy;
+    reports[k].wall_seconds = k == 0 ? seconds : 0.0;
+    reports[k].pipelined = n > 1;
+    reports[k].chain_len = n > 1 ? static_cast<int>(n) : 0;
+    boundary[subs[begin + k].sg.terminal()] = outs[k];
+  }
+  // One executor served the whole group, so its protocol stats and the
+  // modeled delta aggregate on the lead member's report.
+  reports[0].memo = stats;
+  if (auto* model = dynamic_cast<ModelBackend*>(&backend)) {
     // Profiling wants per-subgraph byte attribution: flush the simulator
     // so this subgraph's buffered writebacks land in its own delta instead
     // of the end-of-run flush. (Costs extra modeled txns at subgraph
     // granularity, which is exactly the compulsory-writeback semantics the
     // predictor assumes.)
     if (options_.profile) model->sim().flush();
-    report.txns = model->sim().counters() - before;
-    ComputeTally after = model->tally();
-    report.tally.invocations = after.invocations - tally_before.invocations;
-    report.tally.flops = after.flops - tally_before.flops;
-    report.tally.tc_flops = after.tc_flops - tally_before.tc_flops;
-    report.tally.defers = after.defers - tally_before.defers;
-    report.tally.bricks_reduced =
-        after.bricks_reduced - tally_before.bricks_reduced;
+    reports[0].txns = model->sim().counters() - before.txns;
+    reports[0].tally = model->tally() - before.tally;
   }
   if (options_.metrics) {
-    obs::metrics().counter("engine.subgraphs").add(1);
-    if (report.attempts.size() > 1) {
-      obs::metrics().counter("engine.fallbacks").add(1);
+    auto& m = obs::metrics();
+    m.histogram("engine.subgraph_us").observe(static_cast<i64>(seconds * 1e6));
+    if (n > 1) {
+      m.counter("engine.pipeline.chains").add(1);
+      m.counter("engine.pipeline.chain_subgraphs").add(static_cast<i64>(n));
+      m.counter("engine.pipeline.cross_claims").add(stats.cross_boundary_claims);
+      m.histogram("engine.pipeline.idle_tail_us")
+          .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
     }
-    obs::metrics()
-        .histogram("engine.subgraph_us")
-        .observe(static_cast<i64>(report.wall_seconds * 1e6));
   }
-  result.reports.push_back(std::move(report));
   return Status();
-}
-
-bool Engine::try_run_chain(Backend& backend, NumericBackend* numeric,
-                           ModelBackend* model, size_t begin, size_t end,
-                           std::unordered_map<int, TensorId>& boundary,
-                           EngineResult& result) {
-  const auto& subs = partition_.subgraphs;
-  const i64 n = static_cast<i64>(end - begin);
-  const Node& first_terminal = graph_.node(subs[begin].sg.terminal());
-  const Node& last_terminal = graph_.node(subs[end - 1].sg.terminal());
-  obs::TraceSpan chain_span(
-      "engine", "chain:" + first_terminal.name + ".." + last_terminal.name,
-      {{"subgraph", static_cast<i64>(begin)}, {"members", n}},
-      options_.trace);
-
-  // Chain io: every member's out-of-chain producer (an earlier member's
-  // terminal is an internal boundary and resolves inside the executor), plus
-  // one bricked output tensor per member terminal. Interior terminals stay
-  // live — subgraphs beyond the chain may still consume them.
-  std::unordered_set<int> chain_terminals;
-  for (size_t k = begin; k < end; ++k) {
-    chain_terminals.insert(subs[k].sg.terminal());
-  }
-  std::unordered_map<int, TensorId> io;
-  for (size_t k = begin; k < end; ++k) {
-    for (int nid : subs[k].sg.nodes) {
-      for (int p : graph_.node(nid).inputs) {
-        if (subs[k].sg.contains(p) || chain_terminals.count(p)) continue;
-        io.emplace(p, boundary.at(p));
-      }
-    }
-  }
-  std::vector<TensorId> outs;
-  std::vector<MemoizedExecutor::StageSpec> stages;
-  outs.reserve(static_cast<size_t>(n));
-  stages.reserve(static_cast<size_t>(n));
-  for (size_t k = begin; k < end; ++k) {
-    const Node& terminal = graph_.node(subs[k].sg.terminal());
-    const TensorId out_id =
-        backend.register_tensor(terminal.out_shape, Layout::kBricked,
-                                subs[k].brick_extent, "out:" + terminal.name);
-    outs.push_back(out_id);
-    io[subs[k].sg.terminal()] = out_id;
-    stages.push_back({&subs[k].sg, subs[k].brick_extent});
-  }
-
-  TxnCounters before;
-  ComputeTally tally_before;
-  if (model) {
-    before = model->sim().counters();
-    tally_before = model->tally();
-  }
-
-  const int workers = std::min(options_.memo_workers, backend.num_workers());
-  MemoizedExecutor::Stats stats;
-  Status status;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    MemoizedExecutor exec(graph_, stages, backend, io, workers,
-                          options_.memo_watchdog);
-    if (options_.memo_parallel) {
-      ThreadPool pool(workers, options_.numa_pin);
-      if (options_.numa_pin) warm_pool(pool, backend);
-      status = exec.run_parallel_checked(pool);
-    } else {
-      status = exec.run_checked();
-    }
-    stats = exec.stats();
-  } catch (const StatusError& e) {
-    status = e.status();
-  } catch (const Error& e) {
-    status = Status(StatusCode::kInvalidGraph, e.what());
-  } catch (const std::exception& e) {
-    status = Status(StatusCode::kKernelFailure, e.what());
-  }
-  const double chain_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  if (status.ok() && options_.verify_finite && numeric) {
-    for (size_t k = begin; k < end && status.ok(); ++k) {
-      const Tensor t = numeric->read(outs[k - begin]);
-      for (i64 i = 0; i < t.elements(); ++i) {
-        if (!std::isfinite(t.flat(i))) {
-          status = Status(StatusCode::kKernelFailure,
-                          "non-finite value in output of '" +
-                              graph_.node(subs[k].sg.terminal()).name +
-                              "' (flat index " + std::to_string(i) + ")");
-          break;
-        }
-      }
-    }
-  }
-
-  if (!status.ok()) {
-    // The chain is all-or-nothing: drop its outputs and let the caller
-    // re-run the members barriered, where each gets its own degradation
-    // ladder (and, on repeat failure, its own replay line).
-    for (TensorId id : outs) backend.discard_tensor(id);
-    return false;
-  }
-
-  for (size_t k = begin; k < end; ++k) {
-    SubgraphReport report;
-    report.plan = subs[k];
-    report.executed = Strategy::kMemoized;
-    report.pipelined = true;
-    report.chain_len = static_cast<int>(n);
-    const bool lead = k == begin;
-    const double secs = lead ? chain_seconds : 0.0;
-    report.attempts.push_back({Strategy::kMemoized, Status(), secs});
-    report.wall_seconds = secs;
-    if (lead) {
-      // One executor served the whole chain, so the protocol stats and the
-      // modeled counter delta aggregate on the lead member's report.
-      report.memo = stats;
-      if (model) {
-        report.txns = model->sim().counters() - before;
-        ComputeTally after = model->tally();
-        report.tally.invocations =
-            after.invocations - tally_before.invocations;
-        report.tally.flops = after.flops - tally_before.flops;
-        report.tally.tc_flops = after.tc_flops - tally_before.tc_flops;
-        report.tally.defers = after.defers - tally_before.defers;
-        report.tally.bricks_reduced =
-            after.bricks_reduced - tally_before.bricks_reduced;
-      }
-    }
-    boundary[subs[k].sg.terminal()] = outs[k - begin];
-    result.reports.push_back(std::move(report));
-  }
-  if (options_.metrics) {
-    obs::metrics().counter("engine.subgraphs").add(n);
-    obs::metrics().counter("engine.pipeline.chains").add(1);
-    obs::metrics().counter("engine.pipeline.chain_subgraphs").add(n);
-    obs::metrics()
-        .counter("engine.pipeline.cross_claims")
-        .add(stats.cross_boundary_claims);
-    obs::metrics()
-        .histogram("engine.subgraph_us")
-        .observe(static_cast<i64>(chain_seconds * 1e6));
-    obs::metrics()
-        .histogram("engine.pipeline.idle_tail_us")
-        .observe(static_cast<i64>(stats.idle_tail_seconds * 1e6));
-  }
-  return true;
 }
 
 Result<EngineResult> Engine::run_checked(Backend& backend,
@@ -705,39 +685,11 @@ Result<EngineResult> Engine::run_checked(Backend& backend,
     }
   }
 
-  // Pipelined chains need the per-subgraph barrier gone; profile mode needs
-  // it kept (it flushes the simulator at subgraph granularity for byte
-  // attribution), so profiling implies the barriered schedule.
-  const bool pipelining = options_.pipeline_subgraphs && !options_.profile;
-  const auto& subs = partition_.subgraphs;
-  size_t index = 0;
-  while (index < subs.size()) {
-    size_t chain_end = index + 1;
-    if (pipelining && subs[index].strategy == Strategy::kMemoized) {
-      while (chain_end < subs.size() &&
-             subs[chain_end].strategy == Strategy::kMemoized &&
-             subs[chain_end].brick_extent.rank() ==
-                 subs[index].brick_extent.rank()) {
-        ++chain_end;
-      }
-    }
-    if (chain_end > index + 1) {
-      if (try_run_chain(backend, numeric, model, index, chain_end, boundary,
-                        result)) {
-        index = chain_end;
-        continue;
-      }
-      // Chain failed: fall back to running the members barriered, where each
-      // gets its own per-subgraph degradation ladder.
-      if (options_.metrics) {
-        obs::metrics().counter("engine.pipeline.chain_fallbacks").add(1);
-      }
-    }
-    BDL_RETURN_IF_ERROR(run_subgraph_barriered(backend, numeric, model, index,
-                                               boundary, result));
-    ++index;
+  for (size_t begin = 0, end; begin < partition_.subgraphs.size();
+       begin = end) {
+    end = group_end(begin);
+    BDL_RETURN_IF_ERROR(run_group(backend, begin, end, boundary, result));
   }
-
 
   if (model) {
     model->sim().flush();  // charge buffered output writebacks to the run

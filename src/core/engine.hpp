@@ -11,6 +11,11 @@
 // contained failure in an aggressive merged strategy degrades performance
 // instead of killing the run. Every attempt and its classifying Status is
 // recorded in the subgraph's report.
+//
+// Execution (DESIGN.md §14) is one loop over groups: a run of consecutive
+// memoized subgraphs executes as one chained MemoizedExecutor with no
+// inter-subgraph barrier, and any other subgraph is a group of one. A failed
+// chain hands each member to its own ladder from the next rung.
 #pragma once
 
 #include <optional>
@@ -41,17 +46,9 @@ struct EngineOptions {
   /// corruption as a kKernelFailure (triggering the fallback chain).
   bool verify_finite = false;
   /// Retry a failed subgraph with progressively safer strategies
-  /// (memoized → padded → vendor). Off: the first failure is final.
+  /// (memoized → padded → vendor). Off: the first failure is final, for a
+  /// whole chained group too.
   bool graceful_fallback = true;
-  /// Cross-subgraph dataflow pipelining (DESIGN.md §14): runs of consecutive
-  /// memoized subgraphs execute as one chained MemoizedExecutor, so a
-  /// downstream subgraph's bricks start as soon as their producer bricks
-  /// publish — no inter-subgraph barrier. Bit-identical outputs; only
-  /// idle/steal stats may differ. Non-memoized subgraphs and fallback-chain
-  /// retries remain barrier points. Escape hatch: set false to restore the
-  /// strict barriered schedule (also implied by `profile`, whose per-subgraph
-  /// counter attribution needs the barrier).
-  bool pipeline_subgraphs = true;
   /// Pin pool workers round-robin across NUMA nodes and first-touch each
   /// worker's bump arena / simulator L1 from its own thread (util/numa.hpp).
   /// No-op on single-node machines.
@@ -76,7 +73,8 @@ struct EngineOptions {
   /// Run the §4 cost model alongside execution: fill every report's
   /// `predicted`, and (on a ModelBackend) flush the simulator after each
   /// subgraph so buffered writebacks attribute to the subgraph that produced
-  /// them instead of the end-of-run flush.
+  /// them instead of the end-of-run flush. The flush needs the barrier, so
+  /// profiling runs every subgraph as a group of one (no chains).
   bool profile = false;
 };
 
@@ -103,10 +101,12 @@ struct SubgraphReport {
   /// `predicted.modeled` is false otherwise). Compare against txns/tally.
   obs::SubgraphPrediction predicted;
   double wall_seconds = 0.0;  ///< wall-clock time of the successful attempt
-  /// True when this subgraph ran inside a pipelined chain (DESIGN.md §14):
+  /// True when this subgraph ran inside a chained group (DESIGN.md §14):
   /// `chain_len` members shared one executor, `wall_seconds` is the chain
-  /// total (recorded on the first member, zero on the rest), and `memo`
-  /// aggregates the whole chain's protocol stats on the first member.
+  /// total (recorded on the first member, zero on the rest), and `memo`,
+  /// `txns` and `tally` aggregate the whole chain on the first member. A
+  /// member of a chain that failed records the failed memoized attempt and
+  /// then runs alone (pipelined false).
   bool pipelined = false;
   int chain_len = 0;
 };
@@ -179,23 +179,35 @@ class Engine {
       EngineResult* engine_result = nullptr, const RunContext* ctx = nullptr);
 
  private:
-  /// Execute partition_.subgraphs[index] through the degradation chain,
-  /// exactly as the classic barriered loop did. Appends one SubgraphReport
-  /// and publishes the terminal into `boundary` on success.
-  Status run_subgraph_barriered(Backend& backend, NumericBackend* numeric,
-                                ModelBackend* model, size_t index,
-                                std::unordered_map<int, TensorId>& boundary,
-                                EngineResult& result);
-  /// Execute partition_.subgraphs[begin, end) — all memoized — as one
-  /// pipelined chain (DESIGN.md §14). On success appends one report per
-  /// member and publishes every terminal. Returns false (with nothing
-  /// appended or published) when the chain fails; the caller falls back to
-  /// running the members barriered, restoring the per-subgraph degradation
-  /// ladder.
-  bool try_run_chain(Backend& backend, NumericBackend* numeric,
-                     ModelBackend* model, size_t begin, size_t end,
+  /// Simulator counters and compute tally at the start of a subgraph's
+  /// ladder; a report's txns/tally are the difference at its end.
+  struct ModelMark {
+    TxnCounters txns;
+    ComputeTally tally;
+  };
+
+  /// End of the group starting at partition_.subgraphs[begin]: a maximal
+  /// run of consecutive memoized subgraphs sharing a blocked rank, or that
+  /// one subgraph otherwise (always one under `profile`).
+  size_t group_end(size_t begin) const;
+  /// Execute group [begin, end) down the degradation ladder (DESIGN.md §14):
+  /// the first rung runs the whole group under its planned strategy; if it
+  /// fails, each member records that attempt and continues alone from the
+  /// next rung of its own fallback chain. On success appends one report per
+  /// member and publishes every terminal into `boundary`; an exhausted
+  /// ladder prints a replay line and fails the run.
+  Status run_group(Backend& backend, size_t begin, size_t end,
+                   std::unordered_map<int, TensorId>& boundary,
+                   EngineResult& result);
+  /// One attempt of group [begin, end) under `strategy`: a chained
+  /// MemoizedExecutor for several members, run_planned_subgraph_checked for
+  /// one. Appends the attempt to `reports[0 .. end-begin)`; on success fills
+  /// them (the lead carries wall time, memo stats and the delta since
+  /// `before`) and publishes the terminals, on failure drops the outputs.
+  Status run_attempt(Backend& backend, size_t begin, size_t end,
+                     Strategy strategy, const ModelMark& before,
                      std::unordered_map<int, TensorId>& boundary,
-                     EngineResult& result);
+                     SubgraphReport* reports);
 
   const Graph& graph_;
   EngineOptions options_;

@@ -108,7 +108,7 @@ MemoizedExecutor::MemoizedExecutor(const Graph& graph,
   // Resolve every node's inputs once (flattened index + source tensor) so
   // the per-brick paths need no search. A producer in an *earlier stage*
   // resolves internally here: that boundary gets real dependence tracking
-  // instead of the fully-materialized assumption the barriered path makes.
+  // instead of the fully-materialized assumption a one-stage run makes.
   input_node_index_.reserve(node_ids_.size());
   input_srcs_.reserve(node_ids_.size());
   for (size_t i = 0; i < node_ids_.size(); ++i) {
@@ -343,7 +343,7 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
             node_stage_[static_cast<size_t>(task.node_index)]) {
           // A downstream stage just started an upstream brick before the
           // upstream subgraph "finished" — the cross-boundary pipeline start
-          // the barriered engine could never make.
+          // a barrier between subgraphs would forbid.
           bump(w.local.cross_boundary_claims);
           if (trace_gate_) {
             obs::TraceSpan cross(

@@ -17,8 +17,8 @@
 // producer brick across the subgraph boundary the moment it needs it, so no
 // worker idles at a global inter-subgraph barrier waiting for the last
 // straggler brick. Stage terminals publish into the same engine-registered
-// out tensors the barriered path uses, so results are bit-identical to
-// running the stages one-by-one. The single-subgraph constructor is the
+// out tensors a one-stage run uses, so results are bit-identical to running
+// the stages one-by-one. The single-subgraph constructor is the
 // one-stage special case.
 //
 // Two drivers share the protocol code and the real std::atomic state:

@@ -196,26 +196,18 @@ struct DiffRun {
         }
         for (int workers : o.worker_counts) {
           const std::string w = "-w" + std::to_string(workers);
-          // The plain memo variants pin the barriered schedule; their
-          // "-pipeline" twins run the same plan through cross-subgraph
-          // chains (DESIGN.md §14). Both must match the oracle bit-exactly,
-          // which is the strongest statement of the pipelining invariant:
-          // same kernels, same memo slots, only the schedule differs.
+          // Consecutive memoized subgraphs run as chained groups
+          // (DESIGN.md §14); matching the oracle bit-exactly says the
+          // chaining changes the schedule only, never the numerics.
           EngineOptions eo;
           eo.partition.strategy = partitioner;
           eo.force_strategy = Strategy::kMemoized;
           eo.force_brick_side = side;
           eo.memo_workers = workers;
-          eo.pipeline_subgraphs = false;
           engine_variant("memo" + b + w + p, eo, workers);
-          eo.pipeline_subgraphs = true;
-          engine_variant("memo" + b + w + p + "-pipeline", eo, workers);
           if (o.memo_parallel) {
             eo.memo_parallel = true;
-            eo.pipeline_subgraphs = false;
             engine_variant("memo-par" + b + w + p, eo, workers);
-            eo.pipeline_subgraphs = true;
-            engine_variant("memo-par" + b + w + p + "-pipeline", eo, workers);
           }
         }
       }

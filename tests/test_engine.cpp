@@ -127,6 +127,29 @@ TEST(Engine, ModelBackendCollectsReports) {
   EXPECT_GT(result.total_txns.dram(), 0);
 }
 
+// The reports' tallies partition the run's: summed field by field they equal
+// `total_tally`, including the wave barriers of wavefront subgraphs.
+TEST(Engine, ReportTalliesSumToTotal) {
+  Graph g = build_conv_chain_2d(4, 1, 24, 4);
+  EngineOptions options;
+  options.partition.cost_aware = false;  // merge at this tiny scale
+  options.force_strategy = Strategy::kWavefront;
+  Engine engine(g, options);
+  MemoryHierarchySim sim(MachineParams::a100());
+  ModelBackend backend(g, sim);
+  const EngineResult result = engine.run(backend);
+  ComputeTally sum;
+  for (const auto& report : result.reports) sum += report.tally;
+  const ComputeTally& total = result.total_tally;
+  EXPECT_GT(sum.syncs, 0);
+  EXPECT_EQ(sum.syncs, total.syncs);
+  EXPECT_EQ(sum.invocations, total.invocations);
+  EXPECT_DOUBLE_EQ(sum.flops, total.flops);
+  EXPECT_DOUBLE_EQ(sum.tc_flops, total.tc_flops);
+  EXPECT_EQ(sum.defers, total.defers);
+  EXPECT_EQ(sum.bricks_reduced, total.bricks_reduced);
+}
+
 TEST(Engine, MergedBeatsVendorOnDram) {
   // The headline claim at microbenchmark scale: merged execution reads the
   // input once and never materializes intermediates in DRAM, so its DRAM

@@ -2,15 +2,17 @@
 //
 // The core contract under test: chains of consecutive memoized subgraphs
 // executed through one shared tag table produce outputs *bit-identical* to
-// the strict barriered schedule — pipelining is a scheduling decision, never
-// a numerics decision — while the chain's protocol stats prove real
-// cross-boundary overlap happened (downstream bricks claimed upstream deps
-// before the upstream subgraph finished). The resilience tests extend the §7
-// exactly-once guarantee across the retired barrier: a worker abandoned
-// mid-chain on an *upstream* stage's brick is repaired by the watchdog and
-// the whole chain still completes exactly-once. The serving tests lift the
-// same overlap to cross-batch pipelining (max_inflight_batches > 1) and the
-// NUMA tests pin workers without perturbing a single bit of output.
+// groups of one (the schedule `profile` runs) — pipelining is a scheduling
+// decision, never a numerics decision — while the chain's protocol stats
+// prove real cross-boundary overlap happened (downstream bricks claimed
+// upstream deps before the upstream subgraph finished). The resilience tests
+// extend the §7 exactly-once guarantee across the retired barrier: a worker
+// abandoned mid-chain on an *upstream* stage's brick is repaired by the
+// watchdog and the whole chain still completes exactly-once, and a chain
+// that fails hands each member to its own degradation ladder. The serving
+// tests lift the same overlap to cross-batch pipelining
+// (max_inflight_batches > 1) and the NUMA tests pin workers without
+// perturbing a single bit of output.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -36,21 +38,27 @@ constexpr u64 kWeightSeed = 404;
 
 /// Six 3x3 convs at 32x32x8: under max_layers=2 the paper partitioner cuts
 /// this into exactly three two-layer subgraphs, all planned memoized with
-/// rank-3 bricks — one three-member chain once pipelining is on.
+/// rank-3 bricks — one three-member chain.
 Graph chain_model() { return build_conv_chain_2d(6, 1, 32, 8); }
 
 /// Same backbone at 24x24x4: the tail subgraph plans vendor, so the chain
 /// is {memoized, memoized} with a vendor barrier point behind it.
 Graph mixed_model() { return build_conv_chain_2d(6, 1, 24, 4); }
 
-EngineOptions chain_options(bool pipeline, int workers = 4,
-                            bool parallel = false) {
+EngineOptions chain_options(int workers = 4, bool parallel = false) {
   EngineOptions eo;
   eo.partition.max_layers = 2;
   eo.force_strategy = Strategy::kMemoized;
   eo.memo_workers = workers;
   eo.memo_parallel = parallel;
-  eo.pipeline_subgraphs = pipeline;
+  return eo;
+}
+
+/// Same plan, but `profile` runs every subgraph as a group of one: the
+/// barriered schedule the chained runs must match bit for bit.
+EngineOptions barriered_options() {
+  EngineOptions eo = chain_options();
+  eo.profile = true;
   return eo;
 }
 
@@ -91,7 +99,8 @@ i64 counter_value(const std::string& name) {
 
 // Acceptance: the partitioner's three consecutive memoized subgraphs run as
 // one chain, every member's report says so, and the output is bit-identical
-// to both the barriered schedule and the node-by-node reference kernels.
+// to both groups of one (the profiled schedule) and the node-by-node
+// reference kernels.
 TEST(PipelineChain, ChainedRunBitIdenticalToBarriered) {
   const Graph g = chain_model();
   WeightStore ws(kWeightSeed);
@@ -99,8 +108,8 @@ TEST(PipelineChain, ChainedRunBitIdenticalToBarriered) {
   const Tensor reference = reference_output(g, input, ws);
 
   const i64 chains_before = counter_value("engine.pipeline.chains");
-  const EngineRun pipelined = run_engine(g, input, ws, chain_options(true));
-  const EngineRun barriered = run_engine(g, input, ws, chain_options(false));
+  const EngineRun pipelined = run_engine(g, input, ws, chain_options());
+  const EngineRun barriered = run_engine(g, input, ws, barriered_options());
 
   ASSERT_EQ(pipelined.reports.size(), 3u);
   for (const SubgraphReport& report : pipelined.reports) {
@@ -110,8 +119,10 @@ TEST(PipelineChain, ChainedRunBitIdenticalToBarriered) {
     ASSERT_EQ(report.attempts.size(), 1u);
     EXPECT_TRUE(report.attempts[0].status.ok());
   }
+  ASSERT_EQ(barriered.reports.size(), 3u);
   for (const SubgraphReport& report : barriered.reports) {
     EXPECT_FALSE(report.pipelined);
+    EXPECT_EQ(report.chain_len, 0);
   }
   EXPECT_EQ(counter_value("engine.pipeline.chains"), chains_before + 1);
   EXPECT_EQ(counter_value("engine.pipeline.chain_subgraphs") % 3, 0);
@@ -130,7 +141,7 @@ TEST(PipelineChain, CrossBoundaryClaimsObserved) {
   WeightStore ws(kWeightSeed);
   const Tensor input = random_input(g, 32);
 
-  const EngineRun run = run_engine(g, input, ws, chain_options(true, 8));
+  const EngineRun run = run_engine(g, input, ws, chain_options(8));
   ASSERT_EQ(run.reports.size(), 3u);
   EXPECT_GT(run.reports[0].memo.cross_boundary_claims, 0);
   // Chain aggregates live on the lead member; the rest stay zeroed.
@@ -146,10 +157,10 @@ TEST(PipelineChain, ParallelDriverBitIdenticalAcrossWorkerCounts) {
   WeightStore ws(kWeightSeed);
   const Tensor input = random_input(g, 33);
 
-  const EngineRun barriered = run_engine(g, input, ws, chain_options(false));
+  const EngineRun barriered = run_engine(g, input, ws, barriered_options());
   for (int workers : {2, 5, 8}) {
     const EngineRun run =
-        run_engine(g, input, ws, chain_options(true, workers, true));
+        run_engine(g, input, ws, chain_options(workers, true));
     EXPECT_EQ(max_abs_diff(run.output, barriered.output), 0.0)
         << "workers=" << workers;
     EXPECT_TRUE(run.reports[0].pipelined) << "workers=" << workers;
@@ -164,7 +175,7 @@ TEST(PipelineChain, VendorSubgraphIsBarrierPoint) {
   const Tensor input = random_input(g, 34);
   const Tensor reference = reference_output(g, input, ws);
 
-  const EngineRun run = run_engine(g, input, ws, chain_options(true));
+  const EngineRun run = run_engine(g, input, ws, chain_options());
   ASSERT_EQ(run.reports.size(), 3u);
   EXPECT_TRUE(run.reports[0].pipelined);
   EXPECT_TRUE(run.reports[1].pipelined);
@@ -174,21 +185,21 @@ TEST(PipelineChain, VendorSubgraphIsBarrierPoint) {
   EXPECT_TRUE(allclose(run.output, reference, 2e-4));
 }
 
-// The escape hatch and the profile implication both restore the strict
-// barriered schedule without changing a bit of output.
+// Profiling keeps the per-subgraph barrier (its simulator flushes attribute
+// bytes per subgraph), so every group has one member; the output does not
+// change by a bit.
 TEST(PipelineChain, EscapeHatchAndProfileDisablePipelining) {
   const Graph g = chain_model();
   WeightStore ws(kWeightSeed);
   const Tensor input = random_input(g, 35);
 
-  EngineOptions profiled = chain_options(true);
-  profiled.profile = true;
-  const EngineRun with_profile = run_engine(g, input, ws, profiled);
+  const EngineRun with_profile =
+      run_engine(g, input, ws, barriered_options());
   for (const SubgraphReport& report : with_profile.reports) {
     EXPECT_FALSE(report.pipelined);
   }
 
-  const EngineRun pipelined = run_engine(g, input, ws, chain_options(true));
+  const EngineRun pipelined = run_engine(g, input, ws, chain_options());
   EXPECT_EQ(max_abs_diff(with_profile.output, pipelined.output), 0.0);
 }
 
@@ -201,7 +212,7 @@ TEST(PipelineChain, IdleTailStatsPopulated) {
 
   for (bool parallel : {false, true}) {
     const EngineRun run =
-        run_engine(g, input, ws, chain_options(true, 4, parallel));
+        run_engine(g, input, ws, chain_options(4, parallel));
     const MemoizedExecutor::Stats& stats = run.reports[0].memo;
     EXPECT_GE(stats.idle_tail_fraction, 0.0) << "parallel=" << parallel;
     EXPECT_LE(stats.idle_tail_fraction, 1.0) << "parallel=" << parallel;
@@ -227,7 +238,7 @@ void check_cross_boundary_stall_reclaimed(bool parallel) {
   spec.max_fires = 1;
   scoped.injector().arm(spec);
 
-  EngineOptions eo = chain_options(true, 4, parallel);
+  EngineOptions eo = chain_options(4, parallel);
   eo.memo_watchdog = {64, 200};  // reclaim in milliseconds, not seconds
   const EngineRun run = run_engine(g, input, ws, eo);
 
@@ -251,6 +262,76 @@ TEST(PipelineResilience, ParallelCrossBoundaryStallReclaimed) {
   check_cross_boundary_stall_reclaimed(/*parallel=*/true);
 }
 
+// A chain that fails is not re-run as a chain: every member records the
+// failed memoized attempt and continues alone down its own ladder (padded,
+// then vendor). A one-shot kernel failure on a second-stage node must leave
+// every member with [memoized: kKernelFailure, padded: ok] and an output
+// that still matches the eager oracle.
+void check_chain_failure_degrades(bool parallel) {
+  const Graph g = chain_model();
+  WeightStore ws(kWeightSeed);
+  const Tensor input = random_input(g, 39);
+  const Tensor reference = reference_output(g, input, ws);
+
+  ScopedFaultInjection scoped(/*seed=*/17);
+  FaultSpec spec;
+  spec.kind = FaultKind::kKernelFailure;
+  spec.node_id = 3;  // conv3: first node of the second stage
+  spec.max_fires = 1;
+  scoped.injector().arm(spec);
+
+  const i64 fallbacks_before = counter_value("engine.fallbacks");
+  const EngineRun run = run_engine(g, input, ws, chain_options(4, parallel));
+  EXPECT_EQ(scoped.injector().fires(FaultKind::kKernelFailure), 1);
+
+  ASSERT_EQ(run.reports.size(), 3u);
+  for (const SubgraphReport& report : run.reports) {
+    ASSERT_EQ(report.attempts.size(), 2u);
+    EXPECT_EQ(report.attempts[0].strategy, Strategy::kMemoized);
+    EXPECT_EQ(report.attempts[0].status.code(), StatusCode::kKernelFailure)
+        << report.attempts[0].status.to_string();
+    EXPECT_EQ(report.attempts[1].strategy, Strategy::kPadded);
+    EXPECT_TRUE(report.attempts[1].status.ok());
+    EXPECT_EQ(report.executed, Strategy::kPadded);
+    EXPECT_FALSE(report.pipelined);
+  }
+  EXPECT_EQ(counter_value("engine.fallbacks"), fallbacks_before + 3);
+  EXPECT_TRUE(allclose(run.output, reference, 2e-4));
+}
+
+TEST(PipelineResilience, VirtualChainFailureDegradesEachMember) {
+  check_chain_failure_degrades(/*parallel=*/false);
+}
+
+TEST(PipelineResilience, ParallelChainFailureDegradesEachMember) {
+  check_chain_failure_degrades(/*parallel=*/true);
+}
+
+// Without graceful fallback the failed chain attempt is final: the run fails
+// with the chain's classification instead of re-running the members.
+TEST(PipelineResilience, ChainFailureWithoutFallbackFailsRun) {
+  const Graph g = chain_model();
+  WeightStore ws(kWeightSeed);
+  const Tensor input = random_input(g, 40);
+  for (bool parallel : {false, true}) {
+    ScopedFaultInjection scoped(/*seed=*/17);
+    FaultSpec spec;
+    spec.kind = FaultKind::kKernelFailure;
+    spec.node_id = 3;
+    spec.max_fires = 1;
+    scoped.injector().arm(spec);
+
+    EngineOptions eo = chain_options(4, parallel);
+    eo.graceful_fallback = false;
+    Engine engine(g, eo);
+    NumericBackend backend(g, ws, eo.memo_workers);
+    const auto result = engine.run_checked(backend, &input);
+    ASSERT_FALSE(result.ok()) << "parallel=" << parallel;
+    EXPECT_EQ(result.status().code(), StatusCode::kKernelFailure)
+        << result.status().to_string();
+  }
+}
+
 // NUMA pinning is a placement decision, never a numerics decision: the
 // pinned run (real threads, first-touched arenas) is bit-identical to the
 // unpinned one, and the topology helpers degrade gracefully on one node.
@@ -265,11 +346,11 @@ TEST(PipelineNuma, PinnedRunBitIdentical) {
   WeightStore ws(kWeightSeed);
   const Tensor input = random_input(g, 38);
 
-  EngineOptions pinned = chain_options(true, 4, /*parallel=*/true);
+  EngineOptions pinned = chain_options(4, /*parallel=*/true);
   pinned.numa_pin = true;
   const EngineRun with_pin = run_engine(g, input, ws, pinned);
   const EngineRun without_pin =
-      run_engine(g, input, ws, chain_options(true, 4, /*parallel=*/true));
+      run_engine(g, input, ws, chain_options(4, /*parallel=*/true));
   EXPECT_EQ(max_abs_diff(with_pin.output, without_pin.output), 0.0);
 }
 
