@@ -32,4 +32,17 @@ grep -q '"schema": "brickdl-run-report-v1"' "$tmp/report.json"
 grep -q '"modeled": true' "$tmp/report.json"
 grep -q '"thread_name"' "$tmp/trace.json"
 
+# Usage errors exit 2 with the usage text, never a crash: an unknown flag
+# (the removed --partition-strategy among them) and a value flag given last
+# without its value.
+for args in "--partition-strategy paper" "--batch"; do
+  status=0
+  "$cli" drn26 $args 2>"$tmp/usage.txt" || status=$?
+  if [[ $status -ne 2 ]] || ! grep -q '^usage: brickdl_cli' "$tmp/usage.txt"; then
+    echo "smoke_report: 'brickdl_cli drn26 $args' exited $status," \
+         "expected 2 with usage" >&2
+    exit 1
+  fi
+done
+
 echo "smoke_report: ok"

@@ -148,11 +148,6 @@ Status unrecoverable(const Graph& graph, const SubgraphReport& report,
 }  // namespace
 
 Status validate_engine_options(const EngineOptions& options) {
-  if (!known_partition_strategy(options.partition.strategy)) {
-    return Status(StatusCode::kInvalidOptions,
-                  "unknown partition strategy '" + options.partition.strategy +
-                      "' (expected \"paper\" or \"greedy\")");
-  }
   if (options.memo_workers < 1) {
     return Status(StatusCode::kInvalidOptions,
                   "memo_workers must be >= 1, got " +

@@ -78,8 +78,7 @@ struct EngineOptions {
   bool profile = false;
 };
 
-/// kInvalidOptions unless every knob is in range (partition.strategy a known
-/// name — "paper" or "greedy" — never a silent fallback; memo_workers ≥ 1,
+/// kInvalidOptions unless every knob is in range (memo_workers ≥ 1,
 /// vendor_tile_side > 0, force_brick_side ∈ {0, 4, 8, 16, 32}, watchdog sane).
 Status validate_engine_options(const EngineOptions& options);
 

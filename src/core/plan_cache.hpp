@@ -13,7 +13,7 @@
 //     the serving layer rebatches the same model per batch size and each row
 //     count plans differently;
 //   * options fingerprint — every knob that can change the planner's output
-//     (partition strategy and budgets, brick model τ, force overrides, and
+//     (partition budgets and caps, brick model τ, force overrides, and
 //     the *effective* — i.e. calibrated — machine constants), rendered as a
 //     canonical string. A calibrated process never warm-starts from an
 //     uncalibrated plan, and vice versa.
@@ -52,12 +52,10 @@ std::string plan_options_fingerprint(const EngineOptions& options);
 i64 graph_rows(const Graph& graph);
 
 /// One persisted plan: the partition the engine would have computed cold,
-/// plus the calibration snapshot it was planned under (when any) and an
-/// opaque autotune block for harnesses that persist tuning results.
+/// plus the calibration snapshot it was planned under (when any).
 struct PlanCacheEntry {
   Partition partition;
   std::optional<obs::CalibratedConstants> calibration;
-  obs::Json autotune;  ///< null when absent; round-tripped verbatim
 };
 
 struct PlanCacheLookup {

@@ -170,45 +170,35 @@ struct DiffRun {
         });
       }
     }
-    // Full strategy × partitioner × brick × worker matrix: the partition
-    // decision (paper's one-shot cut vs greedy benefit-driven merging)
-    // changes every subgraph boundary the executors see, so each partitioner
-    // must independently reproduce the oracle bit-exactly.
-    for (const std::string& partitioner : o.partition_strategies) {
-      const std::string p =
-          partitioner == "paper" ? std::string() : "-" + partitioner;
-      for (i64 side : o.brick_sides) {
-        const std::string b = "-b" + std::to_string(side);
-        {
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.force_strategy = Strategy::kPadded;
-          eo.force_brick_side = side;
-          engine_variant("padded" + b + p, eo, 4);
-        }
-        {
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.partition.enable_wavefront = true;
-          eo.force_strategy = Strategy::kWavefront;
-          eo.force_brick_side = side;
-          engine_variant("wavefront" + b + p, eo, 4);
-        }
-        for (int workers : o.worker_counts) {
-          const std::string w = "-w" + std::to_string(workers);
-          // Consecutive memoized subgraphs run as chained groups
-          // (DESIGN.md §14); matching the oracle bit-exactly says the
-          // chaining changes the schedule only, never the numerics.
-          EngineOptions eo;
-          eo.partition.strategy = partitioner;
-          eo.force_strategy = Strategy::kMemoized;
-          eo.force_brick_side = side;
-          eo.memo_workers = workers;
-          engine_variant("memo" + b + w + p, eo, workers);
-          if (o.memo_parallel) {
-            eo.memo_parallel = true;
-            engine_variant("memo-par" + b + w + p, eo, workers);
-          }
+    // Full strategy × brick × worker matrix.
+    for (i64 side : o.brick_sides) {
+      const std::string b = "-b" + std::to_string(side);
+      {
+        EngineOptions eo;
+        eo.force_strategy = Strategy::kPadded;
+        eo.force_brick_side = side;
+        engine_variant("padded" + b, eo, 4);
+      }
+      {
+        EngineOptions eo;
+        eo.partition.enable_wavefront = true;
+        eo.force_strategy = Strategy::kWavefront;
+        eo.force_brick_side = side;
+        engine_variant("wavefront" + b, eo, 4);
+      }
+      for (int workers : o.worker_counts) {
+        const std::string w = "-w" + std::to_string(workers);
+        // Consecutive memoized subgraphs run as chained groups
+        // (DESIGN.md §14); matching the oracle bit-exactly says the
+        // chaining changes the schedule only, never the numerics.
+        EngineOptions eo;
+        eo.force_strategy = Strategy::kMemoized;
+        eo.force_brick_side = side;
+        eo.memo_workers = workers;
+        engine_variant("memo" + b + w, eo, workers);
+        if (o.memo_parallel) {
+          eo.memo_parallel = true;
+          engine_variant("memo-par" + b + w, eo, workers);
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/engine.hpp"
 #include "core/partitioner.hpp"
 #include "core/halo_plan.hpp"
 #include "models/models.hpp"
@@ -196,6 +197,37 @@ TEST(Partitioner, DescribeMentionsStrategies) {
   const Partition p = partition_graph(g, {});
   const std::string desc = p.describe(g);
   EXPECT_NE(desc.find("subgraph 1"), std::string::npos);
+}
+
+TEST(Partitioner, StaticModelCompetitiveWithSearch) {
+  // The §3.3 models decide (B, strategy) without running anything; they
+  // should land within a small factor of the best forced alternative.
+  const Graph g = build_conv_chain_2d(4, 2, 64, 16);
+  const auto modeled_seconds = [&](i64 side, std::optional<Strategy> forced) {
+    EngineOptions options;
+    options.partition.max_layers = 4;
+    options.partition.enable_wavefront = true;
+    options.force_brick_side = side;
+    options.force_strategy = forced;
+    MemoryHierarchySim sim(MachineParams::a100());
+    ModelBackend backend(g, sim);
+    Engine(g, options).run(backend);
+    const Breakdown b =
+        CostModel(sim.params()).breakdown(sim.counters(), backend.tally());
+    return b.dram + b.compute_side();
+  };
+  const double static_time = modeled_seconds(0, std::nullopt);
+  ASSERT_GT(static_time, 0.0);
+  double best = static_time;
+  for (i64 side : {0, 4, 8}) {
+    for (std::optional<Strategy> forced :
+         {std::optional<Strategy>(), std::optional(Strategy::kPadded),
+          std::optional(Strategy::kMemoized),
+          std::optional(Strategy::kWavefront)}) {
+      best = std::min(best, modeled_seconds(side, forced));
+    }
+  }
+  EXPECT_LE(static_time, best * 2.0);
 }
 
 }  // namespace

@@ -9,20 +9,22 @@
 #                         serving suite (submitter threads racing the batch
 #                         scheduler), the pipelining suite (chained tag
 #                         tables shared by real worker threads, the serving
-#                         runner-pool/scheduler handoff), the
-#                         greedy-partitioner property suite (shared metrics
-#                         registry traffic), and the plan-cache suite
+#                         runner-pool/scheduler handoff), the partition
+#                         property suite (shared metrics registry traffic),
+#                         and the plan-cache suite
 #                         (concurrent warm-start readers racing a writer
 #                         through the atomic tmp+rename publish).
 #   2. ASan + UBSan:      the differential fuzz suite (random graphs through
-#                         every executor variant, paper and greedy
-#                         partitioners) plus the resilience, observability,
-#                         serving, partition, and plan-cache suites (includes
-#                         the malformed-parse corpus, JSON parse-back, and
-#                         the poisoned-cache-entry rejection paths).
+#                         every executor variant) plus the resilience,
+#                         observability, serving, partition, and plan-cache
+#                         suites (includes the malformed-parse corpus, JSON
+#                         parse-back, and the poisoned-cache-entry rejection
+#                         paths). UBSan halts on the first report
+#                         (-fno-sanitize-recover=undefined plus
+#                         UBSAN_OPTIONS=halt_on_error=1), so undefined
+#                         behaviour fails the stage.
 #   3. Release (-O3 -DNDEBUG): the differential + perf (fast-path vs generic
-#                         kernel, plus the fig07 paper-vs-greedy partition
-#                         A/B gate) + obs (unit suite plus the CLI and
+#                         kernel) + obs (unit suite plus the CLI and
 #                         serving-telemetry end-to-end smokes, which validate
 #                         every exported artifact) labels at the optimization
 #                         level the fast paths ship at — vectorized interior
@@ -53,41 +55,40 @@ if run_stage tsan; then
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests
   ctest --test-dir "$SRC_DIR/build-tsan" --output-on-failure --timeout 600 \
-        -R 'MemoizedExecutor|Wavefront|ThreadPool|Resilience|Obs|Serve|Pipeline|GreedyPartitioner|PlanCache'
+        -R 'MemoizedExecutor|Wavefront|ThreadPool|Resilience|Obs|Serve|Pipeline|PartitionProperties|PlanCache'
 fi
 
 if run_stage asan; then
   echo "== [asan] ASan+UBSan: differential fuzz + resilience + obs + serve + pipeline + partition + plan-cache suites =="
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   cmake -B "$SRC_DIR/build-asan" -S "$SRC_DIR" -DBRICKDL_SANITIZE=address,undefined
   cmake --build "$SRC_DIR/build-asan" -j "$JOBS" \
         --target brickdl_differential_tests --target brickdl_resilience_tests \
         --target brickdl_obs_tests --target brickdl_serve_tests \
         --target brickdl_pipeline_tests --target brickdl_partition_tests \
         --target brickdl_plan_cache_tests \
-        --target mb_kernels --target fig07_partition_ab \
-        --target brickdl_serve --target brickdl_report_check
+        --target mb_kernels --target brickdl_serve \
+        --target brickdl_report_check
   # obs_smoke and plan_cache_smoke (the CLI end-to-end runs) are excluded:
   # they need the CLI binaries and are far too slow under ASan; the unit
   # suites cover the same code paths. perf = the fast-path-vs-generic kernel
   # sweeps + mb_kernels smoke: cheap, and exactly where an interior-loop
-  # indexing bug would surface. partition adds the greedy property sweep and
-  # the fig07 partition A/B gate; plan_cache adds the cold/warm parity and
-  # cache-poisoning suite.
+  # indexing bug would surface. partition adds the partition property sweep;
+  # plan_cache adds the cold/warm parity and cache-poisoning suite.
   ctest --test-dir "$SRC_DIR/build-asan" --output-on-failure --timeout 600 \
         -L 'differential|resilience|obs|perf|serve|pipeline|partition|plan_cache' \
         -E 'obs_smoke|plan_cache_smoke'
 fi
 
 if run_stage release; then
-  echo "== [release] Release -O3 -DNDEBUG: differential + perf + obs labels (incl. fig07 partition A/B gate, telemetry smokes) =="
+  echo "== [release] Release -O3 -DNDEBUG: differential + perf + obs labels (incl. telemetry smokes) =="
   cmake -B "$SRC_DIR/build-release" -S "$SRC_DIR" \
         -DCMAKE_BUILD_TYPE=Release \
         -DCMAKE_CXX_FLAGS_RELEASE="-O3 -DNDEBUG"
   cmake --build "$SRC_DIR/build-release" -j "$JOBS" \
         --target brickdl_differential_tests --target mb_kernels \
-        --target fig07_partition_ab --target brickdl_serve \
-        --target brickdl_obs_tests --target brickdl_cli \
-        --target brickdl_report_check
+        --target brickdl_serve --target brickdl_obs_tests \
+        --target brickdl_cli --target brickdl_report_check
   # perf includes serve_overload_smoke: the open-loop overload run (bounded
   # queue, shed taxonomy, drain) at the optimization level serving ships at.
   # obs adds the unit suite plus obs_smoke, serve_telemetry_smoke, and
