@@ -53,7 +53,7 @@ int run() {
     std::printf("L2 = %lld MB: done\n", static_cast<long long>(mb));
     std::fflush(stdout);
   }
-  std::printf("\nResNet-50 (batch 8, 112x112): DRAM transactions vs. L2 "
+  std::printf("\nResNet-50 (batch 8, 224x224): DRAM transactions vs. L2 "
               "size (ratio < 1 means BrickDL moves less):\n%s\n",
               table.render().c_str());
   return 0;

@@ -16,15 +16,7 @@ int run() {
   std::printf("== Ablation: memoized-brick contention vs. worker count ==\n\n");
 
   const Graph graph = build_conv_chain_2d(4, 1, 96, 32);
-  Subgraph sg;
-  for (const Node& node : graph.nodes()) {
-    if (node.kind == OpKind::kInput) {
-      sg.external_inputs.push_back(node.id);
-    } else {
-      sg.nodes.push_back(node.id);
-    }
-  }
-  sg.merged = true;
+  const Subgraph sg = make_subgraph(graph, chain_nodes(graph));
 
   TextTable table({"workers", "bricks", "compulsory", "conflicts", "defers",
                    "conflicts/brick", "atomic time (ms)"});

@@ -152,13 +152,7 @@ inline RunResult run_forced_chain(const Graph& graph,
   }
 
   for (const auto& group : groups) {
-    Subgraph sg;
-    sg.nodes = group;
-    for (int nid : group) {
-      for (int p : graph.node(nid).inputs) {
-        if (!sg.contains(p)) sg.external_inputs.push_back(p);
-      }
-    }
+    const Subgraph sg = make_subgraph(graph, group);
     PlannedSubgraph plan =
         plan_subgraph(graph, sg, options.partition, brick_side);
     plan.strategy = strategy;

@@ -7,56 +7,8 @@
 // barrier per wave and a diagonal pipeline fill.
 #include "bench_common.hpp"
 
-#include "core/wavefront_executor.hpp"
-
 namespace brickdl::bench {
 namespace {
-
-RunResult run_wavefront(const Graph& graph,
-                        const std::vector<std::vector<int>>& groups,
-                        i64 brick_side, const EngineOptions& options) {
-  MemoryHierarchySim sim(MachineParams::a100());
-  ModelBackend backend(graph, sim);
-  double min_rho = 0.0;
-
-  std::unordered_map<int, TensorId> boundary;
-  for (const Node& node : graph.nodes()) {
-    if (node.kind == OpKind::kInput) {
-      boundary[node.id] = backend.register_tensor(
-          node.out_shape, Layout::kCanonical, {}, "in:" + node.name);
-    }
-  }
-  for (const auto& group : groups) {
-    Subgraph sg;
-    sg.nodes = group;
-    for (int nid : group) {
-      for (int p : graph.node(nid).inputs) {
-        if (!sg.contains(p)) sg.external_inputs.push_back(p);
-      }
-    }
-    sg.merged = true;
-    const PlannedSubgraph plan =
-        plan_subgraph(graph, sg, options.partition, brick_side);
-    min_rho = min_rho == 0.0 ? plan.rho : std::min(min_rho, plan.rho);
-
-    std::unordered_map<int, TensorId> io;
-    for (int ext : sg.external_inputs) io[ext] = boundary.at(ext);
-    const Node& terminal = graph.node(sg.terminal());
-    const TensorId out = backend.register_tensor(
-        terminal.out_shape, Layout::kBricked, plan.brick_extent, "out");
-    boundary[terminal.id] = out;
-    io[terminal.id] = out;
-    WavefrontExecutor exec(graph, sg, plan.brick_extent, backend, io);
-    exec.run();
-  }
-  sim.flush();
-  RunResult r;
-  r.txns = sim.counters();
-  r.tally = backend.tally();
-  r.rho = min_rho;
-  r.breakdown = CostModel(sim.params()).breakdown(r.txns, r.tally, min_rho);
-  return r;
-}
 
 int run() {
   std::printf("== Extension: wavefront merged execution (paper SS6) ==\n\n");
@@ -90,7 +42,8 @@ int run() {
     std::fflush(stdout);
   }
 
-  const RunResult wave = run_wavefront(graph, groups, 8, options);
+  const RunResult wave =
+      run_forced_chain(graph, groups, Strategy::kWavefront, 8, options);
   table.add_row({"3+3 wavefront", ms(wave.overlapped_total()),
                  ms(wave.breakdown.dram), ms(wave.breakdown.compute), "0.000",
                  ms(wave.breakdown.other),

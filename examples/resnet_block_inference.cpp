@@ -15,14 +15,11 @@ using namespace brickdl;
 namespace {
 
 Subgraph block_subgraph(const Graph& graph) {
-  Subgraph sg;
+  std::vector<int> nodes;
   for (const Node& node : graph.nodes()) {
-    if (node.kind == OpKind::kInput) {
-      sg.external_inputs.push_back(node.id);
-    } else {
-      sg.nodes.push_back(node.id);
-    }
+    if (node.kind != OpKind::kInput) nodes.push_back(node.id);
   }
+  Subgraph sg = make_subgraph(graph, nodes);
   sg.merged = true;
   return sg;
 }

@@ -76,14 +76,11 @@ int main() {
   }
 
   // Merged execution: all five time steps fused over 8x8 bricks.
-  Subgraph sg;
+  std::vector<int> steps;
   for (const Node& node : graph.nodes()) {
-    if (node.kind == OpKind::kInput) {
-      sg.external_inputs.push_back(node.id);
-    } else {
-      sg.nodes.push_back(node.id);
-    }
+    if (node.kind != OpKind::kInput) steps.push_back(node.id);
   }
+  Subgraph sg = make_subgraph(graph, steps);
   sg.merged = true;
 
   NumericBackend backend(graph, weights, 4);

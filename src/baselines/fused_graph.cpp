@@ -1,7 +1,6 @@
 #include "baselines/fused_graph.hpp"
 
-#include <algorithm>
-
+#include "baselines/vendor_tiled.hpp"
 #include "core/halo_plan.hpp"
 
 namespace brickdl {
@@ -105,36 +104,17 @@ void FusedGraphExecutor::build_groups() {
 
 void FusedGraphExecutor::run_group_tiled(const std::vector<int>& group) {
   const Node& terminal = graph_.node(group.back());
-
-  if (terminal.kind == OpKind::kDense ||
-      terminal.kind == OpKind::kGlobalAvgPool) {
-    BDL_CHECK(group.size() == 1);
-    std::vector<TensorId> inputs;
-    for (int p : terminal.inputs) inputs.push_back(tensor_of(p));
-    backend_.execute_global(0, terminal.id, inputs, tensor_of(terminal.id));
+  if (group.size() == 1) {
+    // An unfused operator is one vendor-library call.
+    run_node_tiled(graph_, terminal, backend_, materialized_,
+                   tensor_of(terminal.id), tile_side_);
     return;
   }
 
   // The fusion group is a valid subgraph: reuse the halo planner with the
   // tile as the "brick" to get per-node windows for every tile.
-  Subgraph sg;
-  sg.nodes = group;
-  for (int nid : group) {
-    for (int p : graph_.node(nid).inputs) {
-      if (std::find(group.begin(), group.end(), p) == group.end() &&
-          std::find(sg.external_inputs.begin(), sg.external_inputs.end(), p) ==
-              sg.external_inputs.end()) {
-        sg.external_inputs.push_back(p);
-      }
-    }
-  }
-
-  const Dims bounds = terminal.out_shape.blocked_dims();
-  Dims tile = Dims::filled(bounds.rank(), 1);
-  for (int d = 1; d < bounds.rank(); ++d) {
-    tile[d] = std::min(tile_side_, bounds[d]);
-  }
-  const HaloPlan plan(graph_, sg, tile);
+  const Subgraph sg = make_subgraph(graph_, group);
+  const HaloPlan plan(graph_, sg, vendor_tiles(terminal, tile_side_).brick);
 
   const i64 tiles = plan.num_bricks();
   const int workers = backend_.num_workers();

@@ -1,54 +1,37 @@
 #include "baselines/vendor_tiled.hpp"
 
-#include <algorithm>
-
-#include "graph/halo.hpp"
-#include "util/odometer.hpp"
-
 namespace brickdl {
+
+BrickGrid vendor_tiles(const Node& node, i64 tile_side) {
+  Dims tile = Dims::filled(node.out_shape.blocked_dims().rank(), tile_side);
+  tile[0] = 1;
+  return layer_grid(node, tile);
+}
 
 void run_node_tiled(const Graph& graph, const Node& node, Backend& backend,
                     const std::unordered_map<int, TensorId>& io, TensorId out,
                     i64 tile_side) {
+  std::vector<TensorId> srcs;
+  for (int p : node.inputs) srcs.push_back(io.at(p));
   if (node.kind == OpKind::kDense || node.kind == OpKind::kGlobalAvgPool) {
-    std::vector<TensorId> inputs;
-    for (int p : node.inputs) inputs.push_back(io.at(p));
-    backend.execute_global(0, node.id, inputs, out);
+    backend.execute_global(0, node.id, srcs, out);
     return;
   }
 
-  const Dims bounds = node.out_shape.blocked_dims();
-  Dims tile = Dims::filled(bounds.rank(), 1);
-  Dims grid = Dims::filled(bounds.rank(), 1);
-  for (int d = 0; d < bounds.rank(); ++d) {
-    tile[d] = d == 0 ? 1 : std::min(tile_side, bounds[d]);
-    grid[d] = ceil_div(bounds[d], tile[d]);
-  }
-
-  const i64 tiles = grid.product();
+  // Contiguous tile ranges per worker. Vendor tiles carry no "brick" span.
+  const BrickGrid tiles = vendor_tiles(node, tile_side);
+  const i64 n = tiles.num_bricks();
   const int workers = backend.num_workers();
-  i64 t = 0;
-  for_each_index(grid, [&](const Dims& g) {
-    const int worker = static_cast<int>(t++ * workers / tiles);
-    Dims lo = g, extent = tile;
-    for (int d = 0; d < bounds.rank(); ++d) {
-      lo[d] = g[d] * tile[d];
-      extent[d] = std::min(tile[d], bounds[d] - lo[d]);
-    }
-    backend.invocation_begin(worker);
-    Dims need_lo, need_extent;
-    input_window_blocked(node, lo, extent, &need_lo, &need_extent);
-    std::vector<SlotId> inputs;
-    for (int p : node.inputs) {
-      inputs.push_back(backend.load_window(worker, io.at(p), need_lo,
-                                           need_extent));
-    }
+  std::vector<SlotId> slots;
+  Dims lo, extent;
+  for (i64 t = 0; t < n; ++t) {
+    const int worker = static_cast<int>(t * workers / n);
+    tiles.brick_window(t, &lo, &extent);
     const SlotId result =
-        backend.compute(worker, node.id, inputs, lo, extent,
-                        /*mask_to_bounds=*/false);
-    for (SlotId s : inputs) backend.free_slot(worker, s);
+        run_invocation(backend, worker, node, srcs, lo, extent,
+                       /*mask_to_bounds=*/false, t, /*traced=*/false, slots);
     backend.store_window(worker, result, out, lo, extent);
-  });
+  }
   (void)graph;
 }
 

@@ -5,9 +5,14 @@
 
 #include <unordered_map>
 
-#include "core/backend.hpp"
+#include "core/brick_walk.hpp"
 
 namespace brickdl {
+
+/// The vendor tiles of `node`'s output: its layer_grid at extent
+/// [1, tile_side, ...] — one batch row, square spatial tiles clipped to the
+/// layer, numbered row-major.
+BrickGrid vendor_tiles(const Node& node, i64 tile_side);
 
 /// Execute one node over its whole output in vendor-style tiles.
 /// `io` maps each producer node id to its tensor; `out` receives the result.

@@ -41,6 +41,12 @@ Dims BrickGrid::valid_extent(const Dims& g) const {
   return extent;
 }
 
+void BrickGrid::brick_window(i64 brick, Dims* lo, Dims* extent) const {
+  const Dims g = grid.unlinear(brick);
+  *lo = brick_origin(g);
+  *extent = valid_extent(g);
+}
+
 bool BrickGrid::contains(const Dims& lo, const Dims& extent) const {
   BDL_CHECK(lo.rank() == rank() && extent.rank() == rank());
   for (int i = 0; i < rank(); ++i) {

@@ -28,6 +28,8 @@ struct BrickGrid {
   /// Extent of the valid (unmasked) region of brick `g`; equals `brick`
   /// except for boundary bricks of a non-multiple layer size.
   Dims valid_extent(const Dims& g) const;
+  /// Origin and valid extent of the brick with row-major index `brick`.
+  void brick_window(i64 brick, Dims* lo, Dims* extent) const;
   /// Whether the window [lo, lo+extent) lies wholly inside [0, blocked).
   bool contains(const Dims& lo, const Dims& extent) const;
 

@@ -98,10 +98,9 @@ class Backend {
   /// The tensor is dead; the model drops its cached lines without writeback.
   virtual void discard_tensor(TensorId id) = 0;
 
-  /// NUMA first-touch hook (util/numa.hpp): called from the pool thread that
-  /// will drive `worker` so the worker's private state (bump arena, simulator
-  /// L1 metadata) is faulted in on that thread's node. Best-effort no-op by
-  /// default and on single-node hosts.
+  /// Per-worker warm-up hook for forwarding backends. No executor calls it
+  /// and no backend in this library overrides it; it stays a no-op so an
+  /// external wrapper that forwards it keeps compiling.
   virtual void warm_worker(int /*worker*/) {}
 
  protected:
@@ -148,10 +147,6 @@ class NumericBackend final : public Backend {
   void tally_reduce(i64) override {}
   void tally_sync(i64) override {}
   void discard_tensor(TensorId) override {}
-  /// First-touch the worker's bump arena from the calling thread: the
-  /// initial slab is allocated (and zero-initialized, which commits its
-  /// pages) here instead of lazily inside the first brick.
-  void warm_worker(int worker) override;
 
   /// Copy `data` into a registered tensor (canonical layout input).
   void bind(TensorId id, const Tensor& data);
@@ -204,9 +199,6 @@ class ModelBackend final : public Backend {
   void tally_reduce(i64 bricks) override;
   void tally_sync(i64 n) override;
   void discard_tensor(TensorId id) override;
-  /// Re-allocate the worker's simulator-L1 metadata from the calling thread
-  /// (first-touch); a no-op once the L1 holds live lines.
-  void warm_worker(int worker) override;
 
   MemoryHierarchySim& sim() { return sim_; }
   const ComputeTally& tally() const { return tally_; }

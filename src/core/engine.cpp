@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <unordered_set>
 
@@ -36,30 +34,6 @@ std::vector<Strategy> fallback_chain(Strategy planned, bool graceful) {
   return {planned};
 }
 
-/// NUMA warm-up: have every pool worker first-touch its own backend state
-/// (bump arena pages, simulator L1 metadata) from its own — pinned — thread.
-/// The rendezvous forces all `size()` workers to participate, so worker w is
-/// always warmed by worker w's thread rather than by whichever thread drains
-/// the queue fastest.
-void warm_pool(ThreadPool& pool, Backend& backend) {
-  const int n = pool.size();
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  for (int i = 0; i < n; ++i) {
-    pool.submit([&, n](int worker) {
-      backend.warm_worker(worker);
-      std::unique_lock<std::mutex> lock(mu);
-      if (++arrived == n) {
-        cv.notify_all();
-      } else {
-        cv.wait(lock, [&] { return arrived == n; });
-      }
-    });
-  }
-  pool.wait_idle();
-}
-
 /// Run `body`, classifying a throw: a StatusError keeps its code, a tripped
 /// BDL_CHECK means the plan and graph disagree (e.g. an executor rejected
 /// the subgraph's structure), anything else is a kernel failure.
@@ -81,7 +55,7 @@ Status catch_as_status(Body&& body) {
 /// selects. `io` maps every stage terminal and every input external to the
 /// whole chain.
 Status run_memoized_checked(const Graph& graph,
-                            std::vector<MemoizedExecutor::StageSpec> stages,
+                            std::vector<BrickStage> stages,
                             Backend& backend,
                             const std::unordered_map<int, TensorId>& io,
                             const EngineOptions& options,
@@ -92,8 +66,7 @@ Status run_memoized_checked(const Graph& graph,
                           options.memo_watchdog);
     Status status;
     if (options.memo_parallel) {
-      ThreadPool pool(workers, options.numa_pin);
-      if (options.numa_pin) warm_pool(pool, backend);
+      ThreadPool pool(workers);
       status = exec.run_parallel_checked(pool);
     } else {
       status = exec.run_checked();
@@ -589,7 +562,7 @@ Status Engine::run_attempt(Backend& backend, size_t begin, size_t end,
       status = run_planned_subgraph_checked(graph_, attempt, backend, io,
                                             outs[0], options_, &stats);
     } else {
-      std::vector<MemoizedExecutor::StageSpec> stages;
+      std::vector<BrickStage> stages;
       stages.reserve(n);
       for (size_t k = begin; k < end; ++k) {
         io[subs[k].sg.terminal()] = outs[k - begin];

@@ -49,10 +49,6 @@ struct EngineOptions {
   /// (memoized → padded → vendor). Off: the first failure is final, for a
   /// whole chained group too.
   bool graceful_fallback = true;
-  /// Pin pool workers round-robin across NUMA nodes and first-touch each
-  /// worker's bump arena / simulator L1 from its own thread (util/numa.hpp).
-  /// No-op on single-node machines.
-  bool numa_pin = false;
   /// Persistent plan cache directory (core/plan_cache.hpp, DESIGN.md §15).
   /// Non-empty: the constructor warm-starts the partition from a validated
   /// cache entry keyed by graph signature × rows × options fingerprint, and

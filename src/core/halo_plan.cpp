@@ -2,7 +2,24 @@
 
 #include <algorithm>
 
+#include "core/brick_walk.hpp"
+
 namespace brickdl {
+
+Subgraph make_subgraph(const Graph& graph, std::vector<int> nodes) {
+  Subgraph sg;
+  sg.nodes = std::move(nodes);
+  for (int n : sg.nodes) {
+    for (int p : graph.node(n).inputs) {
+      if (!sg.contains(p) &&
+          std::find(sg.external_inputs.begin(), sg.external_inputs.end(), p) ==
+              sg.external_inputs.end()) {
+        sg.external_inputs.push_back(p);
+      }
+    }
+  }
+  return sg;
+}
 
 void validate_subgraph(const Graph& graph, const Subgraph& sg) {
   BDL_CHECK_MSG(!sg.nodes.empty(), "empty subgraph");
@@ -80,16 +97,7 @@ HaloPlan::HaloPlan(const Graph& graph, const Subgraph& sg,
                    const Dims& brick_extent)
     : graph_(graph), sg_(sg), brick_extent_(brick_extent) {
   validate_subgraph(graph, sg);
-  const Node& terminal = graph.node(sg.terminal());
-  const Dims bounds = terminal.out_shape.blocked_dims();
-  BDL_CHECK_MSG(brick_extent.rank() == bounds.rank(),
-                "brick extent rank mismatch: " << brick_extent.str() << " vs "
-                                               << bounds.str());
-  terminal_grid_ = Dims::filled(bounds.rank(), 0);
-  for (int d = 0; d < bounds.rank(); ++d) {
-    BDL_CHECK(brick_extent[d] > 0);
-    terminal_grid_[d] = ceil_div(bounds[d], brick_extent[d]);
-  }
+  terminal_grid_ = layer_grid(graph.node(sg.terminal()), brick_extent).grid;
 
   // Representative interior brick (center of the grid) for static metrics.
   Dims center = terminal_grid_;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 #include "core/fault_hooks.hpp"
-#include "graph/halo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -15,125 +13,31 @@ MemoizedExecutor::MemoizedExecutor(const Graph& graph, const Subgraph& sg,
                                    const Dims& brick_extent, Backend& backend,
                                    const std::unordered_map<int, TensorId>& io,
                                    int num_workers, WatchdogOptions watchdog)
-    : MemoizedExecutor(graph, std::vector<StageSpec>{{&sg, brick_extent}},
-                       backend, io, num_workers, watchdog) {}
+    : MemoizedExecutor(graph, {BrickStage{&sg, brick_extent}}, backend, io,
+                       num_workers, watchdog) {}
 
 MemoizedExecutor::MemoizedExecutor(const Graph& graph,
-                                   std::vector<StageSpec> stage_specs,
+                                   const std::vector<BrickStage>& stages,
                                    Backend& backend,
                                    const std::unordered_map<int, TensorId>& io,
                                    int num_workers, WatchdogOptions watchdog)
-    : graph_(graph),
-      backend_(backend),
-      io_(io),
+    : backend_(backend),
       num_workers_(num_workers),
-      watchdog_(watchdog) {
-  BDL_CHECK_MSG(!stage_specs.empty(), "chain needs at least one stage");
+      watchdog_(watchdog),
+      table_(graph, stages, backend, io, "memo:") {
   BDL_CHECK(num_workers >= 1 && num_workers <= backend.num_workers());
   BDL_CHECK_MSG(watchdog_.poll_limit > 0 && watchdog_.timeout_ms >= 0,
                 "watchdog poll_limit must be positive, timeout non-negative");
 
-  // Flatten the chain: stage node lists concatenated in stage order. Node
-  // ids are unique across stages (subgraphs partition the graph), so one
-  // flat index space carries the whole tag table.
-  std::unordered_map<int, int> node_to_flat;
-  std::unordered_set<int> earlier_terminals;
-  stages_.reserve(stage_specs.size());
-  for (size_t s = 0; s < stage_specs.size(); ++s) {
-    const StageSpec& spec = stage_specs[s];
-    BDL_CHECK_MSG(spec.sg != nullptr, "chain stage has no subgraph");
-    validate_subgraph(graph, *spec.sg);
-    BDL_CHECK_MSG(
-        spec.brick_extent.rank() == stage_specs[0].brick_extent.rank(),
-        "chained stages must share the blocked rank (stage "
-            << s << " has rank " << spec.brick_extent.rank() << ")");
-    BDL_CHECK_MSG(io_.count(spec.sg->terminal()),
-                  "io map must provide the terminal output tensor of stage "
-                      << s << " ('" << graph.node(spec.sg->terminal()).name
-                      << "')");
-    for (int ext : spec.sg->external_inputs) {
-      // An earlier stage's terminal is an *internal* boundary of the chain;
-      // everything else must arrive through the io map.
-      if (earlier_terminals.count(ext)) continue;
-      BDL_CHECK_MSG(io_.count(ext), "io map must provide external input "
-                                        << graph.node(ext).name);
-    }
-
-    Stage stage;
-    stage.sg = spec.sg;
-    stage.brick_extent = spec.brick_extent;
-    stage.node_begin = static_cast<int>(node_ids_.size());
-    for (int id : spec.sg->nodes) {
-      BDL_CHECK_MSG(!node_to_flat.count(id),
-                    "node '" << graph.node(id).name
-                             << "' appears in two chain stages");
-      node_to_flat.emplace(id, static_cast<int>(node_ids_.size()));
-      node_ids_.push_back(id);
-      node_stage_.push_back(static_cast<int>(s));
-    }
-    stage.node_end = static_cast<int>(node_ids_.size());
-    stages_.push_back(stage);
-    earlier_terminals.insert(spec.sg->terminal());
-  }
-
-  grids_.reserve(node_ids_.size());
-  memo_.reserve(node_ids_.size());
-  for (size_t i = 0; i < node_ids_.size(); ++i) {
-    const Node& node = graph.node(node_ids_[i]);
-    const Stage& stage = stages_[static_cast<size_t>(node_stage_[i])];
-    const Dims bounds = node.out_shape.blocked_dims();
-    // The stage's shared brick extent, clipped per dim to the layer bounds.
-    Dims extent = stage.brick_extent;
-    BDL_CHECK(extent.rank() == bounds.rank());
-    for (int d = 0; d < extent.rank(); ++d) {
-      extent[d] = std::min(extent[d], bounds[d]);
-    }
-    grids_.emplace_back(bounds, extent);
-    grid_sizes_.push_back(grids_.back().num_bricks());
-    states_.push_back(std::make_unique<std::atomic<u32>[]>(
-        static_cast<size_t>(grids_.back().num_bricks())));
-    for (i64 b = 0; b < grids_.back().num_bricks(); ++b) {
+  states_.reserve(static_cast<size_t>(table_.num_layers()));
+  for (int layer = 0; layer < table_.num_layers(); ++layer) {
+    const i64 bricks = table_.grid(layer).num_bricks();
+    states_.push_back(
+        std::make_unique<std::atomic<u32>[]>(static_cast<size_t>(bricks)));
+    for (i64 b = 0; b < bricks; ++b) {
       states_.back()[static_cast<size_t>(b)].store(kNotStarted,
                                                    std::memory_order_relaxed);
     }
-    if (node_ids_[i] == stage.sg->terminal()) {
-      memo_.push_back(io_.at(node_ids_[i]));
-    } else {
-      memo_.push_back(backend.register_tensor(
-          node.out_shape, Layout::kBricked, grids_.back().brick,
-          "memo:" + node.name));
-    }
-  }
-
-  // Resolve every node's inputs once (flattened index + source tensor) so
-  // the per-brick paths need no search. A producer in an *earlier stage*
-  // resolves internally here: that boundary gets real dependence tracking
-  // instead of the fully-materialized assumption a one-stage run makes.
-  input_node_index_.reserve(node_ids_.size());
-  input_srcs_.reserve(node_ids_.size());
-  for (size_t i = 0; i < node_ids_.size(); ++i) {
-    const Node& node = graph.node(node_ids_[i]);
-    std::vector<int> indices;
-    std::vector<TensorId> srcs;
-    indices.reserve(node.inputs.size());
-    srcs.reserve(node.inputs.size());
-    for (int p : node.inputs) {
-      const auto it = node_to_flat.find(p);
-      if (it == node_to_flat.end()) {
-        indices.push_back(-1);
-        srcs.push_back(io_.at(p));
-      } else {
-        const int p_index = it->second;
-        BDL_CHECK_MSG(p_index < static_cast<int>(i),
-                      "chain stages out of topological order: '"
-                          << graph.node(p).name << "' consumed before it is "
-                          << "produced");
-        indices.push_back(p_index);
-        srcs.push_back(memo_[static_cast<size_t>(p_index)]);
-      }
-    }
-    input_node_index_.push_back(std::move(indices));
-    input_srcs_.push_back(std::move(srcs));
   }
 
   // Roots: the concatenation of every stage's terminal brick space. In the
@@ -141,9 +45,9 @@ MemoizedExecutor::MemoizedExecutor(const Graph& graph,
   // shared frontier spans all stage terminals, so late-stage roots pull
   // their upstream dependences across the boundary as soon as a worker
   // reaches them.
-  for (Stage& stage : stages_) {
-    stage.root_offset = total_roots_;
-    total_roots_ += grid_sizes_[static_cast<size_t>(stage.node_end - 1)];
+  for (int s = 0; s < table_.num_stages(); ++s) {
+    root_offset_.push_back(total_roots_);
+    total_roots_ += table_.grid(table_.stage_terminal(s)).num_bricks();
   }
 
   // Partition roots contiguously across workers (GPU-style block assignment
@@ -157,118 +61,47 @@ MemoizedExecutor::MemoizedExecutor(const Graph& graph,
   }
 }
 
-i64 MemoizedExecutor::total_bricks() const {
-  i64 total = 0;
-  for (i64 s : grid_sizes_) total += s;
-  return total;
-}
-
-std::atomic<u32>& MemoizedExecutor::state(int node_index, i64 brick) {
-  return states_[static_cast<size_t>(node_index)][static_cast<size_t>(brick)];
+std::atomic<u32>& MemoizedExecutor::state(int layer, i64 brick) {
+  return states_[static_cast<size_t>(layer)][static_cast<size_t>(brick)];
 }
 
 int MemoizedExecutor::root_node(i64 root, i64* brick) const {
-  size_t s = stages_.size() - 1;
-  while (stages_[s].root_offset > root) --s;
-  *brick = root - stages_[s].root_offset;
-  return stages_[s].node_end - 1;
+  size_t s = root_offset_.size() - 1;
+  while (root_offset_[s] > root) --s;
+  *brick = root - root_offset_[s];
+  return table_.stage_terminal(static_cast<int>(s));
 }
 
-bool MemoizedExecutor::is_stage_terminal(int node_index) const {
-  const Stage& stage = stages_[static_cast<size_t>(
-      node_stage_[static_cast<size_t>(node_index)])];
-  return node_index == stage.node_end - 1;
-}
-
-MemoizedExecutor::Task MemoizedExecutor::make_task(int node_index,
+MemoizedExecutor::Task MemoizedExecutor::make_task(int layer,
                                                    i64 brick) const {
   Task task;
-  task.node_index = node_index;
+  task.layer = layer;
   task.brick = brick;
-
-  const Node& node = graph_.node(node_ids_[static_cast<size_t>(node_index)]);
-  const BrickGrid& grid = grids_[static_cast<size_t>(node_index)];
-  const Dims g = grid.grid.unlinear(brick);
-  const Dims lo = grid.brick_origin(g);
-  const Dims extent = grid.valid_extent(g);
-  Dims need_lo, need_extent;
-  input_window_blocked(node, lo, extent, &need_lo, &need_extent);
-
-  const std::vector<int>& inputs =
-      input_node_index_[static_cast<size_t>(node_index)];
-  for (size_t ii = 0; ii < inputs.size(); ++ii) {
-    // External producers are fully materialized: no dependence tracking.
-    const int p_index = inputs[ii];
-    if (p_index < 0) continue;
-    const BrickGrid& p_grid = grids_[static_cast<size_t>(p_index)];
-    // Bricks of the producer overlapping the needed window, clipped to its
-    // layer bounds (out-of-bounds halo is zero and depends on nothing).
-    Dims b_lo = need_lo, b_cnt = need_extent;
-    bool empty = false;
-    for (int d = 0; d < need_lo.rank(); ++d) {
-      const i64 a = std::max<i64>(need_lo[d], 0);
-      const i64 b = std::min<i64>(need_lo[d] + need_extent[d],
-                                  p_grid.blocked[d]);
-      if (b <= a) {
-        empty = true;
-        break;
-      }
-      b_lo[d] = a / p_grid.brick[d];
-      b_cnt[d] = (b - 1) / p_grid.brick[d] - b_lo[d] + 1;
-    }
-    if (empty) continue;
-    Dims idx = b_lo;
-    const i64 n_deps = b_cnt.product();
-    for (i64 k = 0; k < n_deps; ++k) {
-      task.deps.emplace_back(p_index, p_grid.grid.linear(idx));
-      for (int d = idx.rank() - 1; d >= 0; --d) {
-        if (++idx[d] - b_lo[d] < b_cnt[d]) break;
-        idx[d] = b_lo[d];
-      }
-    }
-  }
+  table_.for_each_dep(layer, brick, [&task](int p_layer, i64 p_brick) {
+    task.deps.emplace_back(p_layer, p_brick);
+  });
   return task;
 }
 
 Status MemoizedExecutor::compute_brick(int worker_index, const Task& task,
                                        SlotId* out_slot, Dims* lo,
                                        Dims* extent) {
-  const int node_id = node_ids_[static_cast<size_t>(task.node_index)];
-  const Node& node = graph_.node(node_id);
-  const BrickGrid& grid = grids_[static_cast<size_t>(task.node_index)];
-  const Dims g = grid.grid.unlinear(task.brick);
-  *lo = grid.brick_origin(g);
-  *extent = grid.valid_extent(g);
-
+  const Node& node = table_.node(task.layer);
+  table_.grid(task.layer).brick_window(task.brick, lo, extent);
   try {
     obs::TraceSpan layer_span("layer", node.name,
-                              {{"node", node_id},
+                              {{"node", node.id},
                                {"brick", task.brick},
                                {"worker", worker_index}},
                               trace_gate_);
-    backend_.invocation_begin(worker_index);
-    Dims need_lo, need_extent;
-    input_window_blocked(node, *lo, *extent, &need_lo, &need_extent);
-    std::vector<SlotId>& inputs =
-        workers_[static_cast<size_t>(worker_index)]->input_slots;
-    inputs.clear();
-    const std::vector<TensorId>& srcs =
-        input_srcs_[static_cast<size_t>(task.node_index)];
-    for (TensorId src : srcs) {
-      inputs.push_back(backend_.load_window(worker_index, src, need_lo,
-                                            need_extent));
-    }
     // Memoized bricks are stored clipped to the layer bounds, so no masking
     // is needed: out-of-bounds halo reads zero-fill, matching zero padding.
     // The result stays in the worker-private slot; the caller copies it into
     // the shared memo buffer only after winning the publish election.
-    {
-      obs::TraceSpan brick_span("brick", node.name, {{"brick", task.brick}},
-                                trace_gate_);
-      *out_slot = backend_.compute(worker_index, node_id, inputs, *lo, *extent,
-                                   /*mask_to_bounds=*/false);
-    }
-    for (SlotId s : inputs) backend_.free_slot(worker_index, s);
+    *out_slot = run_invocation(
+        backend_, worker_index, node, table_.sources(task.layer), *lo,
+        *extent, /*mask_to_bounds=*/false, task.brick, trace_gate_,
+        workers_[static_cast<size_t>(worker_index)]->input_slots);
   } catch (const StatusError& e) {
     return e.status();
   } catch (const std::exception& e) {
@@ -328,8 +161,8 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
 
   Task& task = w.stack.back();
   while (task.dep_cursor < task.deps.size()) {
-    const auto [p_index, p_brick] = task.deps[task.dep_cursor];
-    std::atomic<u32>& tag = state(p_index, p_brick);
+    const auto [p_layer, p_brick] = task.deps[task.dep_cursor];
+    std::atomic<u32>& tag = state(p_layer, p_brick);
     u32 observed = tag.load(std::memory_order_acquire);
     if (tag_state(observed) == kComplete) {
       ++task.dep_cursor;
@@ -339,8 +172,7 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
     if (tag_state(observed) == kNotStarted) {
       if (tag.compare_exchange_strong(observed, observed | kInProgress)) {
         bump(w.local.compulsory_atomics);  // acquire
-        if (node_stage_[static_cast<size_t>(p_index)] !=
-            node_stage_[static_cast<size_t>(task.node_index)]) {
+        if (table_.stage_of(p_layer) != table_.stage_of(task.layer)) {
           // A downstream stage just started an upstream brick before the
           // upstream subgraph "finished" — the cross-boundary pipeline start
           // a barrier between subgraphs would forbid.
@@ -348,14 +180,14 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
           if (trace_gate_) {
             obs::TraceSpan cross(
                 "pipeline", "cross_claim",
-                {{"node", node_ids_[static_cast<size_t>(p_index)]},
+                {{"node", table_.node_id(p_layer)},
                  {"brick", p_brick},
                  {"worker", worker_index}},
                 trace_gate_);
           }
         }
         task.polls = 0;
-        Task dep = make_task(p_index, p_brick);
+        Task dep = make_task(p_layer, p_brick);
         dep.token = observed | kInProgress;
         w.stack.push_back(std::move(dep));
         return true;  // recurse: compute the dependent brick first
@@ -391,7 +223,7 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
   }
 
   // All dependencies complete: compute, publish, pop.
-  const int node_id = node_ids_[static_cast<size_t>(task.node_index)];
+  const int node_id = table_.node_id(task.layer);
   if (FaultHooks* hooks = fault_hooks()) {
     if (hooks->on_worker_stall(node_id, task.brick, worker_index)) {
       // Simulated dead worker: park for good, leaving every tag on this
@@ -423,15 +255,14 @@ bool MemoizedExecutor::advance(int worker_index, bool spin_wait) {
   // reclaimer owns the brick and will recompute it, so we must not touch the
   // shared memo buffer (a racing same-value store) and we drop our
   // accounting so the exactly-once bookkeeping still matches the tags.
-  std::atomic<u32>& tag = state(task.node_index, task.brick);
+  std::atomic<u32>& tag = state(task.layer, task.brick);
   u32 expected = task.token;
   if (tag.compare_exchange_strong(expected, (task.token & ~kStateMask) |
                                                 kPublishing)) {
     bump(w.local.compulsory_atomics);  // release/publish election
     try {
-      backend_.store_window(worker_index, out_slot,
-                            memo_[static_cast<size_t>(task.node_index)], lo,
-                            extent);
+      backend_.store_window(worker_index, out_slot, table_.buffer(task.layer),
+                            lo, extent);
     } catch (const std::exception& e) {
       // Leave no abandoned Publishing tag behind a failed store: fail the
       // whole run, every worker aborts on failed_.
@@ -550,11 +381,7 @@ Status MemoizedExecutor::finish() {
   backend_.tally_reduce(stats_.bricks_computed);
   // Interior memo buffers are dead once the chain finishes; stage-terminal
   // memos are the caller's io tensors and stay live.
-  for (size_t i = 0; i < memo_.size(); ++i) {
-    if (!is_stage_terminal(static_cast<int>(i))) {
-      backend_.discard_tensor(memo_[i]);
-    }
-  }
+  table_.discard_interiors();
 
   if (!failure_.ok()) return failure_;  // workers aborted on a kernel fault
 
@@ -563,13 +390,10 @@ Status MemoizedExecutor::finish() {
   // conv) may legitimately stay uncomputed. An incomplete terminal here
   // means every surviving worker exhausted its watchdog without finding a
   // reclaimable path — all workers stalled.
-  for (size_t s = 0; s < stages_.size(); ++s) {
-    const int terminal_index = stages_[s].node_end - 1;
-    const auto& terminal_states = states_[static_cast<size_t>(terminal_index)];
-    for (i64 b = 0; b < grid_sizes_[static_cast<size_t>(terminal_index)];
-         ++b) {
-      if (tag_state(terminal_states[static_cast<size_t>(b)].load()) !=
-          kComplete) {
+  for (int s = 0; s < table_.num_stages(); ++s) {
+    const int terminal = table_.stage_terminal(s);
+    for (i64 b = 0; b < table_.grid(terminal).num_bricks(); ++b) {
+      if (tag_state(state(terminal, b).load()) != kComplete) {
         std::ostringstream os;
         os << "terminal brick " << b << " of stage " << s
            << " left incomplete (" << stats_.stalled_workers << " of "
@@ -585,11 +409,9 @@ Status MemoizedExecutor::finish() {
   // reverse. Either way the CAS protocol was violated. (This is an internal
   // invariant — a violation is a library bug, so it stays a hard check.)
   i64 complete_tags = 0;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    for (i64 b = 0; b < grid_sizes_[i]; ++b) {
-      if (tag_state(states_[i][static_cast<size_t>(b)].load()) == kComplete) {
-        ++complete_tags;
-      }
+  for (int layer = 0; layer < table_.num_layers(); ++layer) {
+    for (i64 b = 0; b < table_.grid(layer).num_bricks(); ++b) {
+      if (tag_state(state(layer, b).load()) == kComplete) ++complete_tags;
     }
   }
   BDL_CHECK_MSG(stats_.bricks_computed == complete_tags,
@@ -598,41 +420,6 @@ Status MemoizedExecutor::finish() {
                                    << " — a brick was computed twice or lost");
   BDL_CHECK(stats_.bricks_computed <= total_bricks());
   return Status();
-}
-
-i64 MemoizedExecutor::reachable_bricks() const {
-  std::vector<std::vector<char>> seen;
-  seen.reserve(grid_sizes_.size());
-  for (i64 s : grid_sizes_) seen.emplace_back(static_cast<size_t>(s), 0);
-
-  std::vector<std::pair<int, i64>> frontier;
-  for (const Stage& stage : stages_) {
-    const int terminal_index = stage.node_end - 1;
-    for (i64 b = 0; b < grid_sizes_[static_cast<size_t>(terminal_index)];
-         ++b) {
-      char& mark =
-          seen[static_cast<size_t>(terminal_index)][static_cast<size_t>(b)];
-      if (!mark) {
-        mark = 1;
-        frontier.emplace_back(terminal_index, b);
-      }
-    }
-  }
-  i64 count = 0;
-  while (!frontier.empty()) {
-    const auto [index, brick] = frontier.back();
-    frontier.pop_back();
-    ++count;
-    for (const auto& [p_index, p_brick] : make_task(index, brick).deps) {
-      char& mark =
-          seen[static_cast<size_t>(p_index)][static_cast<size_t>(p_brick)];
-      if (!mark) {
-        mark = 1;
-        frontier.emplace_back(p_index, p_brick);
-      }
-    }
-  }
-  return count;
 }
 
 Status MemoizedExecutor::run_checked() {

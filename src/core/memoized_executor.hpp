@@ -55,8 +55,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "core/backend.hpp"
-#include "core/subgraph.hpp"
+#include "core/brick_walk.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 
@@ -96,15 +95,6 @@ class MemoizedExecutor {
 
   using WatchdogOptions = MemoWatchdogOptions;
 
-  /// One stage of a pipelined chain: a memoized subgraph and its brick
-  /// extent. `sg` must outlive the executor. All stages must share the
-  /// blocked rank (§3.3.4 fixes the extent within a subgraph; the chain
-  /// additionally needs compatible boundary geometry).
-  struct StageSpec {
-    const Subgraph* sg = nullptr;
-    Dims brick_extent;
-  };
-
   /// `io` maps external-input node ids and the terminal node id to backend
   /// tensors. `brick_extent` is over blocked dims and is shared by every
   /// layer of the subgraph (§3.3.4: constant within a subgraph).
@@ -115,11 +105,12 @@ class MemoizedExecutor {
                    WatchdogOptions watchdog = WatchdogOptions());
 
   /// Chained (pipelined) form: execute `stages` — consecutive memoized
-  /// subgraphs in partition order — through one shared tag table. `io` must
-  /// map every stage terminal to its out tensor and every input that is
-  /// external to the *whole chain*; an earlier stage's terminal consumed by
-  /// a later stage is resolved internally (that is the pipelined boundary).
-  MemoizedExecutor(const Graph& graph, std::vector<StageSpec> stages,
+  /// subgraphs in partition order, each outliving the executor and all
+  /// sharing the blocked rank — through one shared tag table. `io` must map
+  /// every stage terminal to its out tensor and every input that is external
+  /// to the *whole chain*; an earlier stage's terminal consumed by a later
+  /// stage is resolved internally (that is the pipelined boundary).
+  MemoizedExecutor(const Graph& graph, const std::vector<BrickStage>& stages,
                    Backend& backend,
                    const std::unordered_map<int, TensorId>& io,
                    int num_workers,
@@ -146,21 +137,22 @@ class MemoizedExecutor {
   /// may lag the true totals but never invents events. finish() uses the
   /// same aggregation once the workers are quiescent.
   Stats stats_snapshot() const;
-  i64 total_bricks() const;
-  int num_stages() const { return static_cast<int>(stages_.size()); }
+  i64 total_bricks() const { return table_.total_bricks(); }
   /// Bricks some stage-terminal brick transitively depends on (structural
   /// walk of the brick dependence graph; no execution state). A correct run
   /// computes each of these exactly once — `stats().bricks_computed` must
   /// equal this. total_bricks() minus this counts dead bricks (e.g. columns
   /// a strided conv never reads), which legitimately stay uncomputed.
-  i64 reachable_bricks() const;
+  i64 reachable_bricks() const {
+    return table_.for_each_reachable([](int, i64) {});
+  }
 
  private:
   struct Task {
-    int node_index = -1;  ///< flattened chain node index
+    int layer = -1;  ///< BrickWalk layer index
     i64 brick = -1;
     u32 token = 0;  ///< tag value we claimed ((epoch << 2) | kInProgress)
-    std::vector<std::pair<int, i64>> deps;  ///< (node_index, brick) in-chain
+    std::vector<std::pair<int, i64>> deps;  ///< (layer, brick) in-chain
     size_t dep_cursor = 0;                  ///< deps below this are Complete
     i64 polls = 0;  ///< consecutive failed polls of the current dependence
     std::chrono::steady_clock::time_point poll_start{};
@@ -194,19 +186,10 @@ class MemoizedExecutor {
     bool stalled = false;  ///< parked by fault injection (simulated death)
     i64 steal_polls = 0;
     std::chrono::steady_clock::time_point steal_start{};
-    std::vector<SlotId> input_slots;  ///< reused across compute_brick calls
+    std::vector<SlotId> input_slots;  ///< reused across invocations
     // Tail accounting (single writer: the worker / the virtual driver).
     i64 last_progress_tick = 0;
     std::chrono::steady_clock::time_point finish_time{};
-  };
-
-  /// One stage of the chain after flattening.
-  struct Stage {
-    const Subgraph* sg = nullptr;
-    Dims brick_extent;
-    int node_begin = 0;  ///< flattened node range [node_begin, node_end)
-    int node_end = 0;    ///< stage terminal = node_end - 1
-    i64 root_offset = 0;  ///< first root index of this stage's terminal bricks
   };
 
   /// Tag encoding: low 2 bits = state, high bits = reclaim epoch. A watchdog
@@ -239,37 +222,25 @@ class MemoizedExecutor {
   /// election. `lo`/`extent` report the brick window for that store.
   Status compute_brick(int worker_index, const Task& task, SlotId* out_slot,
                        Dims* lo, Dims* extent);
-  Task make_task(int node_index, i64 brick) const;
-  std::atomic<u32>& state(int node_index, i64 brick);
-  /// Map a root index to its stage-terminal node; `*brick` gets the brick.
+  Task make_task(int layer, i64 brick) const;
+  std::atomic<u32>& state(int layer, i64 brick);
+  /// Map a root index to its stage-terminal layer; `*brick` gets the brick.
   int root_node(i64 root, i64* brick) const;
-  bool is_stage_terminal(int node_index) const;
   void set_failure(Status status);
   Status finish();
 
-  const Graph& graph_;
   Backend& backend_;
-  std::unordered_map<int, TensorId> io_;
   int num_workers_;
   WatchdogOptions watchdog_;
 
-  std::vector<Stage> stages_;
-  std::vector<int> node_ids_;    // flattened chain node -> graph node id
-  std::vector<int> node_stage_;  // flattened chain node -> stage index
-  i64 total_roots_ = 0;          // Σ stage-terminal bricks
-
-  std::vector<BrickGrid> grids_;  // per flattened node
-  std::vector<TensorId> memo_;    // per flattened node (stage terminal = io)
-  // Per flattened node, per input: producer's flattened index (-1 if external
-  // to the chain) and the tensor to gather from (memo buffer or external io).
-  // Precomputed so the per-brick hot paths (make_task, compute_brick) never
-  // search the node lists. An earlier stage's terminal resolves *internally*
-  // here — that is the cross-subgraph dependence pipelining tracks.
-  std::vector<std::vector<int>> input_node_index_;
-  std::vector<std::vector<TensorId>> input_srcs_;
+  // Grids, memo buffers (stage terminal = io) and input sources per layer.
+  // An earlier stage's terminal resolves *internally* here — that is the
+  // cross-subgraph dependence pipelining tracks.
+  BrickTable table_;
+  std::vector<i64> root_offset_;  // stage -> first root of its terminal
+  i64 total_roots_ = 0;           // Σ stage-terminal bricks
   bool trace_gate_ = true;  ///< Tracer::enabled(), sampled once per run
-  std::vector<std::unique_ptr<std::atomic<u32>[]>> states_;  // per flat node
-  std::vector<i64> grid_sizes_;
+  std::vector<std::unique_ptr<std::atomic<u32>[]>> states_;  // per layer
   // unique_ptr: Worker holds atomics and cannot be moved by vector growth.
   std::vector<std::unique_ptr<Worker>> workers_;
   Stats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/brick_walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -10,12 +11,12 @@ namespace brickdl {
 PaddedExecutor::PaddedExecutor(const Graph& graph, const Subgraph& sg,
                                const HaloPlan& plan, Backend& backend,
                                const std::unordered_map<int, TensorId>& io)
-    : graph_(graph), sg_(sg), plan_(plan), backend_(backend), io_(io) {
-  BDL_CHECK_MSG(io_.count(sg.terminal()),
+    : graph_(graph), sg_(sg), plan_(plan), backend_(backend) {
+  BDL_CHECK_MSG(io.count(sg.terminal()),
                 "io map must provide the terminal output tensor");
   for (int ext : sg.external_inputs) {
-    BDL_CHECK_MSG(io_.count(ext), "io map must provide external input "
-                                      << graph.node(ext).name);
+    BDL_CHECK_MSG(io.count(ext), "io map must provide external input "
+                                     << graph.node(ext).name);
   }
 
   // Per-worker scratch tensors (the on-chip arena) for every non-terminal
@@ -23,16 +24,27 @@ PaddedExecutor::PaddedExecutor(const Graph& graph, const Subgraph& sg,
   // activation; halo positions outside the layer bounds are masked to zero
   // before the store, so the store/load round-trip is value-preserving.
   const int workers = backend.num_workers();
+  std::vector<std::unordered_map<int, TensorId>> tensors(
+      static_cast<size_t>(workers), io);  // per worker: node -> tensor
   for (int n : sg.nodes) {
     if (n == sg.terminal()) continue;
-    std::vector<TensorId> per_worker;
-    per_worker.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-      per_worker.push_back(backend.register_tensor(
+      const TensorId id = backend.register_tensor(
           graph.node(n).out_shape, Layout::kOnChipScratch, {},
-          "padded_scratch:" + graph.node(n).name + ":w" + std::to_string(w)));
+          "padded_scratch:" + graph.node(n).name + ":w" + std::to_string(w));
+      tensors[static_cast<size_t>(w)][n] = id;
+      scratch_.push_back(id);
     }
-    scratch_.emplace(n, std::move(per_worker));
+  }
+  for (int n : sg.nodes) {
+    std::vector<LayerIo> per_worker;
+    for (const auto& t : tensors) {
+      LayerIo layer;
+      for (int p : graph.node(n).inputs) layer.srcs.push_back(t.at(p));
+      layer.dst = t.at(n);
+      per_worker.push_back(std::move(layer));
+    }
+    layer_io_.push_back(std::move(per_worker));
   }
   worker_scratch_.resize(static_cast<size_t>(workers));
 }
@@ -42,46 +54,24 @@ void PaddedExecutor::run_brick(i64 brick_index, int worker, bool traced) {
   WorkerScratch& ws = worker_scratch_[static_cast<size_t>(worker)];
   plan_.windows_for_brick(g, &ws.windows);
 
-  for (int node_id : sg_.nodes) {
-    const Node& node = graph_.node(node_id);
-    const BlockedWindow& out_w = ws.windows.at(node_id);
+  for (size_t i = 0; i < sg_.nodes.size(); ++i) {
+    const Node& node = graph_.node(sg_.nodes[i]);
+    const BlockedWindow& out_w = ws.windows.at(node.id);
+    const LayerIo& layer = layer_io_[i][static_cast<size_t>(worker)];
     obs::TraceSpan layer_span("layer", node.name,
-                              {{"node", node_id},
+                              {{"node", node.id},
                                {"brick", brick_index},
                                {"worker", worker}},
                               traced);
-    backend_.invocation_begin(worker);
-
     // Every invocation gathers exactly the window it consumes: from the
     // source tensor for external producers, from the worker's arena for
-    // intermediates computed earlier in this brick's chain.
-    Dims need_lo, need_extent;
-    input_window_blocked(node, out_w.lo, out_w.extent, &need_lo, &need_extent);
-    std::vector<SlotId>& input_slots = ws.input_slots;
-    input_slots.clear();
-    for (int p : node.inputs) {
-      const bool external = !sg_.contains(p);
-      const TensorId src =
-          external ? io_.at(p) : scratch_.at(p)[static_cast<size_t>(worker)];
-      input_slots.push_back(
-          backend_.load_window(worker, src, need_lo, need_extent));
-    }
-
-    const bool is_terminal = node_id == sg_.terminal();
-    SlotId out;
-    {
-      obs::TraceSpan brick_span("brick", node.name, {{"brick", brick_index}},
-                                traced);
-      out = backend_.compute(worker, node_id, input_slots, out_w.lo,
-                             out_w.extent,
-                             /*mask_to_bounds=*/!is_terminal);
-    }
-    for (SlotId s : input_slots) backend_.free_slot(worker, s);
-
-    const TensorId dst = is_terminal
-                             ? io_.at(node_id)
-                             : scratch_.at(node_id)[static_cast<size_t>(worker)];
-    backend_.store_window(worker, out, dst, out_w.lo, out_w.extent);
+    // intermediates computed earlier in this brick's chain. Intermediate
+    // windows are masked to the true layer bounds.
+    const bool intermediate = node.id != sg_.terminal();
+    const SlotId out = run_invocation(
+        backend_, worker, node, layer.srcs, out_w.lo, out_w.extent,
+        /*mask_to_bounds=*/intermediate, brick_index, traced, ws.input_slots);
+    backend_.store_window(worker, out, layer.dst, out_w.lo, out_w.extent);
   }
 }
 
@@ -124,9 +114,7 @@ Status PaddedExecutor::run_checked(ThreadPool* pool) {
     status = Status(StatusCode::kKernelFailure, e.what());
   }
   // Intermediate windows are dead (success or abort): drop without writeback.
-  for (auto& [node, per_worker] : scratch_) {
-    for (TensorId id : per_worker) backend_.discard_tensor(id);
-  }
+  for (TensorId id : scratch_) backend_.discard_tensor(id);
   return status;
 }
 

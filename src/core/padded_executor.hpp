@@ -44,10 +44,17 @@ class PaddedExecutor {
   const Subgraph& sg_;
   const HaloPlan& plan_;
   Backend& backend_;
-  std::unordered_map<int, TensorId> io_;
-  // Per-worker, per-node scratch tensors for intermediate padded windows
-  // (the on-chip arena; discarded after the subgraph completes).
-  std::unordered_map<int, std::vector<TensorId>> scratch_;  // node -> [worker]
+  // Per sg node, per worker: the tensors its inputs load from (external io,
+  // or the worker's scratch for an in-chain producer) and the tensor its
+  // window stores to (the worker's scratch; the io tensor for the terminal).
+  struct LayerIo {
+    std::vector<TensorId> srcs;
+    TensorId dst = -1;
+  };
+  std::vector<std::vector<LayerIo>> layer_io_;  // [sg index][worker]
+  // Per-worker scratch tensors for intermediate padded windows (the on-chip
+  // arena; discarded after the subgraph completes).
+  std::vector<TensorId> scratch_;
   // Per-worker reusable containers for the brick hot loop (the window map
   // and slot list would otherwise be rebuilt — with fresh heap buckets — for
   // every brick).

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/brick_walk.hpp"
 #include "core/halo_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -24,21 +25,6 @@ const char* strategy_name(Strategy s) {
 }
 
 namespace {
-
-Subgraph make_subgraph(const Graph& graph, std::vector<int> nodes) {
-  Subgraph sg;
-  sg.nodes = std::move(nodes);
-  for (int n : sg.nodes) {
-    for (int p : graph.node(n).inputs) {
-      if (!sg.contains(p) &&
-          std::find(sg.external_inputs.begin(), sg.external_inputs.end(), p) ==
-              sg.external_inputs.end()) {
-        sg.external_inputs.push_back(p);
-      }
-    }
-  }
-  return sg;
-}
 
 /// True when the candidate can legally close: every member except the last
 /// has all consumers inside the candidate.
@@ -71,26 +57,6 @@ i64 live_pair_bytes(const Graph& graph, const Subgraph& sg,
   return worst * static_cast<i64>(sizeof(float));
 }
 
-}  // namespace
-
-namespace {
-
-/// Total bricks across every layer of the subgraph at a given extent rule
-/// (each layer's grid uses extent min(brick_extent, bounds) per dim).
-i64 total_layer_bricks(const Graph& graph, const Subgraph& sg,
-                       const Dims& brick_extent) {
-  i64 total = 0;
-  for (int n : sg.nodes) {
-    const Dims bounds = graph.node(n).out_shape.blocked_dims();
-    i64 bricks = 1;
-    for (int d = 0; d < bounds.rank(); ++d) {
-      bricks *= ceil_div(bounds[d], std::min(brick_extent[d], bounds[d]));
-    }
-    total += bricks;
-  }
-  return total;
-}
-
 /// Base (non-redundant) compute time of the subgraph under the two-bucket
 /// flop model (tensor-core vs FP32 work).
 double subgraph_base_time(const Graph& graph, const Subgraph& sg,
@@ -119,7 +85,10 @@ MergedOverheads merged_overheads(const Graph& graph, const Subgraph& sg,
   const MachineParams& m = options.machine;
   const double base_time = subgraph_base_time(graph, sg, m);
   const i64 terminal_bricks = plan.num_bricks();
-  const i64 layer_bricks = total_layer_bricks(graph, sg, brick_extent);
+  i64 layer_bricks = 0;
+  for (int n : sg.nodes) {
+    layer_bricks += layer_grid(graph.node(n), brick_extent).num_bricks();
+  }
 
   MergedOverheads o;
   o.padded = plan.padding_growth() * base_time +
@@ -316,14 +285,20 @@ Partition partition_paper(const Graph& graph, const PartitionOptions& options) {
             plan_subgraph(graph, make_subgraph(graph, candidate), options);
         const bool fits = plan.strategy == Strategy::kVendor ||
                           plan.footprint_bytes <= options.l2_budget;
-        if (fits || candidate.size() == 1) {
-          best_len = candidate.size();
-          best_plan = std::move(plan);
-          // Preferred terminators (§3.3.1): reductions and global ops.
-          if (is_reduction(node) || is_global(node.kind)) break;
-        } else {
+        if (!fits && candidate.size() > 1) {
           break;  // footprint exceeded; close at the previous prefix
         }
+        if (!fits) {
+          // A single layer over the budget cannot run merged at all: it
+          // takes the vendor library (§3.3.3), so the budget is a hard cap.
+          plan.sg.merged = false;
+          plan.strategy = Strategy::kVendor;
+          plan.footprint_bytes = 0;
+        }
+        best_len = candidate.size();
+        best_plan = std::move(plan);
+        // Preferred terminators (§3.3.1): reductions and global ops.
+        if (is_reduction(node) || is_global(node.kind)) break;
       }
       ++j;
     }

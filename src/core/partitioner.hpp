@@ -6,7 +6,8 @@
 // where the subgraph invariants hold (single terminal; all other members
 // consumed internally). Growth stops when:
 //   * the next operator is not mergeable (it becomes a vendor-library node);
-//   * the merged data footprint would exceed the on-chip (L2) budget;
+//   * the merged data footprint would exceed the on-chip (L2) budget (a
+//     single layer already over it runs through the vendor library);
 //   * a reduction (strided pool) or global operator was just added — the
 //     preferred subgraph terminators;
 //   * a layer-count cap is reached.

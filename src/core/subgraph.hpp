@@ -30,6 +30,11 @@ struct Subgraph {
   }
 };
 
+/// The subgraph of `nodes` (topological order, terminal last): every
+/// producer outside it is listed once in `external_inputs`, in first-use
+/// order. `merged` is left for the planner to set.
+Subgraph make_subgraph(const Graph& graph, std::vector<int> nodes);
+
 /// Validate the subgraph invariants against `graph`; throws on violation.
 void validate_subgraph(const Graph& graph, const Subgraph& sg);
 

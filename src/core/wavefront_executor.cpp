@@ -3,77 +3,43 @@
 #include <algorithm>
 #include <map>
 
-#include "graph/halo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace brickdl {
+namespace {
+
+/// The executor's one stage, checked for a spatial dim to skew along.
+std::vector<BrickStage> wave_stage(const Subgraph& sg,
+                                   const Dims& brick_extent) {
+  BDL_CHECK_MSG(brick_extent.rank() >= 2,
+                "wavefront execution needs at least one spatial dim");
+  return {BrickStage{&sg, brick_extent}};
+}
+
+}  // namespace
 
 WavefrontExecutor::WavefrontExecutor(
     const Graph& graph, const Subgraph& sg, const Dims& brick_extent,
     Backend& backend, const std::unordered_map<int, TensorId>& io)
-    : graph_(graph),
-      sg_(sg),
-      brick_extent_(brick_extent),
-      backend_(backend),
-      io_(io) {
-  validate_subgraph(graph, sg);
-  BDL_CHECK_MSG(io_.count(sg.terminal()),
-                "io map must provide the terminal output tensor");
-  for (int ext : sg.external_inputs) {
-    BDL_CHECK_MSG(io_.count(ext), "io map must provide external input "
-                                      << graph.node(ext).name);
-  }
-  BDL_CHECK_MSG(brick_extent.rank() >= 2,
-                "wavefront execution needs at least one spatial dim");
-
-  grids_.reserve(sg.nodes.size());
-  memo_.reserve(sg.nodes.size());
-  for (size_t i = 0; i < sg.nodes.size(); ++i) {
-    const Node& node = graph.node(sg.nodes[i]);
-    const Dims bounds = node.out_shape.blocked_dims();
-    Dims extent = brick_extent;
-    BDL_CHECK(extent.rank() == bounds.rank());
-    for (int d = 0; d < extent.rank(); ++d) {
-      extent[d] = std::min(extent[d], bounds[d]);
-    }
-    grids_.emplace_back(bounds, extent);
-    if (sg.nodes[i] == sg.terminal()) {
-      memo_.push_back(io_.at(sg.nodes[i]));
-    } else {
-      memo_.push_back(backend.register_tensor(
-          node.out_shape, Layout::kBricked, grids_.back().brick,
-          "wave:" + node.name));
-    }
-  }
-  // Resolve every node's input tensors once; compute_brick just reads them.
-  input_srcs_.reserve(sg.nodes.size());
-  for (size_t i = 0; i < sg.nodes.size(); ++i) {
-    std::vector<TensorId> srcs;
-    for (int p : graph.node(sg.nodes[i]).inputs) {
-      const auto it = std::find(sg.nodes.begin(), sg.nodes.end(), p);
-      srcs.push_back(it == sg.nodes.end()
-                         ? io_.at(p)
-                         : memo_[static_cast<size_t>(it - sg.nodes.begin())]);
-    }
-    input_srcs_.push_back(std::move(srcs));
-  }
+    : backend_(backend),
+      table_(graph, wave_stage(sg, brick_extent), backend, io, "wave:") {
   skew_ = choose_skew();
   stats_.skew = skew_;
 }
 
-i64 WavefrontExecutor::wave_of(int sg_index, const Dims& grid_coord) const {
+i64 WavefrontExecutor::wave_of(int layer, const Dims& grid_coord) const {
   // Row along the first spatial blocked dim (index 1; index 0 is batch).
-  return skew_ * static_cast<i64>(sg_index) + grid_coord[1];
+  return skew_ * static_cast<i64>(layer) + grid_coord[1];
 }
 
 i64 WavefrontExecutor::choose_skew() const {
-  // For every (node, brick row), the highest producer brick row it depends
+  // For every (layer, brick row), the highest producer brick row it depends
   // on must sit in a strictly earlier wave: skew·tp + r' < skew·t + r.
   i64 required = 1;
-  for (size_t t = 0; t < sg_.nodes.size(); ++t) {
-    const Node& node = graph_.node(sg_.nodes[t]);
-    const BrickGrid& grid = grids_[t];
+  for (int t = 0; t < table_.num_layers(); ++t) {
+    const Node& node = table_.node(t);
+    const BrickGrid& grid = table_.grid(t);
     for (i64 r = 0; r < grid.grid[1]; ++r) {
       const i64 lo = r * grid.brick[1];
       const i64 extent = std::min(grid.brick[1], grid.blocked[1] - lo);
@@ -85,11 +51,9 @@ i64 WavefrontExecutor::choose_skew() const {
       Dims need_lo, need_extent;
       input_window_blocked(node, out_lo, out_extent, &need_lo, &need_extent);
 
-      for (int p : node.inputs) {
-        const auto it = std::find(sg_.nodes.begin(), sg_.nodes.end(), p);
-        if (it == sg_.nodes.end()) continue;  // external: always ready
-        const size_t tp = static_cast<size_t>(it - sg_.nodes.begin());
-        const BrickGrid& p_grid = grids_[tp];
+      for (int tp : table_.producers(t)) {
+        if (tp < 0) continue;  // external: always ready
+        const BrickGrid& p_grid = table_.grid(tp);
         const i64 hi = std::min(need_lo[1] + need_extent[1],
                                 p_grid.blocked[1]) - 1;
         if (hi < 0) continue;
@@ -104,37 +68,20 @@ i64 WavefrontExecutor::choose_skew() const {
   return required;
 }
 
-void WavefrontExecutor::compute_brick(int worker, int sg_index, i64 brick) {
-  const int node_id = sg_.nodes[static_cast<size_t>(sg_index)];
-  const Node& node = graph_.node(node_id);
-  const BrickGrid& grid = grids_[static_cast<size_t>(sg_index)];
-  const Dims g = grid.grid.unlinear(brick);
-  const Dims lo = grid.brick_origin(g);
-  const Dims extent = grid.valid_extent(g);
-
+void WavefrontExecutor::compute_brick(int worker, int layer, i64 brick) {
+  const Node& node = table_.node(layer);
+  Dims lo, extent;
+  table_.grid(layer).brick_window(brick, &lo, &extent);
   obs::TraceSpan layer_span("layer", node.name,
-                            {{"node", node_id},
+                            {{"node", node.id},
                              {"brick", brick},
                              {"worker", worker}},
                             trace_gate_);
-  backend_.invocation_begin(worker);
-  Dims need_lo, need_extent;
-  input_window_blocked(node, lo, extent, &need_lo, &need_extent);
-  std::vector<SlotId>& inputs = input_slots_;
-  inputs.clear();
-  for (TensorId src : input_srcs_[static_cast<size_t>(sg_index)]) {
-    inputs.push_back(backend_.load_window(worker, src, need_lo, need_extent));
-  }
-  SlotId out;
-  {
-    obs::TraceSpan brick_span("brick", node.name, {{"brick", brick}},
-                              trace_gate_);
-    out = backend_.compute(worker, node_id, inputs, lo, extent,
-                           /*mask_to_bounds=*/false);
-  }
-  for (SlotId s : inputs) backend_.free_slot(worker, s);
-  backend_.store_window(worker, out,
-                        memo_[static_cast<size_t>(sg_index)], lo, extent);
+  const SlotId out =
+      run_invocation(backend_, worker, node, table_.sources(layer), lo,
+                     extent, /*mask_to_bounds=*/false, brick, trace_gate_,
+                     input_slots_);
+  backend_.store_window(worker, out, table_.buffer(layer), lo, extent);
 }
 
 Status WavefrontExecutor::run_checked() {
@@ -143,12 +90,10 @@ Status WavefrontExecutor::run_checked() {
   try {
     // Bucket every brick of every layer into its wave.
     std::map<i64, std::vector<BrickRef>> waves;
-    for (size_t t = 0; t < sg_.nodes.size(); ++t) {
-      const BrickGrid& grid = grids_[t];
+    for (int t = 0; t < table_.num_layers(); ++t) {
+      const BrickGrid& grid = table_.grid(t);
       for (i64 b = 0; b < grid.num_bricks(); ++b) {
-        const Dims g = grid.grid.unlinear(b);
-        waves[wave_of(static_cast<int>(t), g)].push_back(
-            {static_cast<int>(t), b});
+        waves[wave_of(t, grid.grid.unlinear(b))].push_back({t, b});
       }
     }
 
@@ -159,7 +104,7 @@ Status WavefrontExecutor::run_checked() {
           {{"wave", wave}, {"bricks", static_cast<i64>(bricks.size())}});
       int worker = 0;
       for (const BrickRef& ref : bricks) {
-        compute_brick(worker, ref.sg_index, ref.brick);
+        compute_brick(worker, ref.layer, ref.brick);
         worker = (worker + 1) % workers;
       }
       backend_.tally_sync(1);
@@ -178,9 +123,7 @@ Status WavefrontExecutor::run_checked() {
     status = Status(StatusCode::kKernelFailure, e.what());
   }
   // Interior buffers are dead once the subgraph finishes (or aborts).
-  for (size_t i = 0; i < memo_.size(); ++i) {
-    if (sg_.nodes[i] != sg_.terminal()) backend_.discard_tensor(memo_[i]);
-  }
+  table_.discard_interiors();
   return status;
 }
 

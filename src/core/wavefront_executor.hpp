@@ -18,8 +18,7 @@
 
 #include <unordered_map>
 
-#include "core/backend.hpp"
-#include "core/subgraph.hpp"
+#include "core/brick_walk.hpp"
 #include "util/status.hpp"
 
 namespace brickdl {
@@ -54,28 +53,19 @@ class WavefrontExecutor {
 
  private:
   struct BrickRef {
-    int sg_index;
-    i64 brick;  ///< linear index in that node's grid
+    int layer;
+    i64 brick;  ///< linear index in that layer's grid
   };
 
   /// Wave index of a brick: skew·layer + its row along the first spatial dim.
-  i64 wave_of(int sg_index, const Dims& grid_coord) const;
-  void compute_brick(int worker, int sg_index, i64 brick);
-  /// Smallest skew that strictly orders every dependence; throws if no skew
-  /// up to the given bound works (cannot happen for αX+β ops with α ≥ 1/s).
+  i64 wave_of(int layer, const Dims& grid_coord) const;
+  void compute_brick(int worker, int layer, i64 brick);
+  /// Smallest skew that strictly orders every dependence (always exists for
+  /// αX+β ops: a large enough skew separates any two layers).
   i64 choose_skew() const;
 
-  const Graph& graph_;
-  const Subgraph& sg_;
-  Dims brick_extent_;
   Backend& backend_;
-  std::unordered_map<int, TensorId> io_;
-
-  std::vector<BrickGrid> grids_;  // per sg node
-  std::vector<TensorId> memo_;    // per sg node (terminal = io)
-  // Per sg node, per input: source tensor (memo buffer or external io),
-  // precomputed so compute_brick never searches sg_.nodes.
-  std::vector<std::vector<TensorId>> input_srcs_;
+  BrickTable table_;  // one stage: grids, memo buffers, input sources
   std::vector<SlotId> input_slots_;  // reused across compute_brick (serial)
   bool trace_gate_ = true;           ///< Tracer::enabled(), sampled per run
   i64 skew_ = 0;

@@ -3,79 +3,13 @@
 #include <algorithm>
 #include <vector>
 
-#include "brick/brick_grid.hpp"
+#include "core/brick_walk.hpp"
 #include "core/halo_plan.hpp"
-#include "graph/halo.hpp"
 
 namespace brickdl::obs {
 namespace {
 
 constexpr i64 kFloatBytes = static_cast<i64>(sizeof(float));
-
-/// Per-layer brick grids exactly as the exact-brick executors build them:
-/// the subgraph's shared brick extent, clipped per dim to each layer's
-/// blocked bounds.
-std::vector<BrickGrid> clipped_grids(const Graph& graph, const Subgraph& sg,
-                                     const Dims& brick_extent) {
-  std::vector<BrickGrid> grids;
-  grids.reserve(sg.nodes.size());
-  for (int nid : sg.nodes) {
-    const Dims bounds = graph.node(nid).out_shape.blocked_dims();
-    Dims extent = brick_extent;
-    BDL_CHECK(extent.rank() == bounds.rank());
-    for (int d = 0; d < extent.rank(); ++d) {
-      extent[d] = std::min(extent[d], bounds[d]);
-    }
-    grids.emplace_back(bounds, extent);
-  }
-  return grids;
-}
-
-/// In-subgraph producer bricks of (node t, brick b) — the same enumeration
-/// MemoizedExecutor::make_task performs: the producer bricks overlapping the
-/// brick's input window, clipped to the producer's bounds (out-of-bounds
-/// halo is zero-filled and depends on nothing).
-template <typename Fn>
-void for_each_dep(const Graph& graph, const Subgraph& sg,
-                  const std::vector<BrickGrid>& grids, int t, i64 brick,
-                  Fn&& fn) {
-  const Node& node = graph.node(sg.nodes[static_cast<size_t>(t)]);
-  const BrickGrid& grid = grids[static_cast<size_t>(t)];
-  const Dims g = grid.grid.unlinear(brick);
-  Dims need_lo, need_extent;
-  input_window_blocked(node, grid.brick_origin(g), grid.valid_extent(g),
-                       &need_lo, &need_extent);
-
-  for (int p : node.inputs) {
-    const auto it = std::find(sg.nodes.begin(), sg.nodes.end(), p);
-    if (it == sg.nodes.end()) continue;
-    const int p_index = static_cast<int>(it - sg.nodes.begin());
-    const BrickGrid& p_grid = grids[static_cast<size_t>(p_index)];
-    Dims b_lo = need_lo, b_cnt = need_extent;
-    bool empty = false;
-    for (int d = 0; d < need_lo.rank(); ++d) {
-      const i64 a = std::max<i64>(need_lo[d], 0);
-      const i64 b = std::min<i64>(need_lo[d] + need_extent[d],
-                                  p_grid.blocked[d]);
-      if (b <= a) {
-        empty = true;
-        break;
-      }
-      b_lo[d] = a / p_grid.brick[d];
-      b_cnt[d] = (b - 1) / p_grid.brick[d] - b_lo[d] + 1;
-    }
-    if (empty) continue;
-    Dims idx = b_lo;
-    const i64 n_deps = b_cnt.product();
-    for (i64 k = 0; k < n_deps; ++k) {
-      fn(p_index, p_grid.grid.linear(idx));
-      for (int d = idx.rank() - 1; d >= 0; --d) {
-        if (++idx[d] - b_lo[d] < b_cnt[d]) break;
-        idx[d] = b_lo[d];
-      }
-    }
-  }
-}
 
 /// Compulsory DRAM traffic shared by every merged strategy: external inputs
 /// and weights stream in once, the terminal output writes back once.
@@ -147,9 +81,14 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
   }
 
   p.modeled = true;
-  const std::vector<BrickGrid> grids =
-      clipped_grids(graph, sg, planned.brick_extent);
-  const int terminal_index = static_cast<int>(sg.nodes.size()) - 1;
+  // The exact-brick strategies walk the executors' own brick enumeration.
+  const BrickWalk walk(graph, {BrickStage{&sg, planned.brick_extent}});
+  const auto add_brick_flops = [&](int layer, i64 brick) {
+    Dims lo, extent;
+    walk.grid(layer).brick_window(brick, &lo, &extent);
+    add_flops(graph, walk.node_id(layer), static_cast<double>(extent.product()),
+              &p);
+  };
 
   switch (planned.strategy) {
     case Strategy::kPadded: {
@@ -176,58 +115,25 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
           std::max(0.0, p.flops + p.tc_flops - exact_flops);
       break;
     }
-    case Strategy::kMemoized: {
-      // Structural reachability walk — the bricks a fault-free run computes
-      // exactly once, each claimed and published with one CAS apiece.
-      std::vector<std::vector<char>> seen;
-      seen.reserve(grids.size());
-      for (const BrickGrid& g : grids) {
-        seen.emplace_back(static_cast<size_t>(g.num_bricks()), 0);
-      }
-      std::vector<std::pair<int, i64>> frontier;
-      for (i64 b = 0; b < grids[static_cast<size_t>(terminal_index)]
-                              .num_bricks(); ++b) {
-        seen[static_cast<size_t>(terminal_index)][static_cast<size_t>(b)] = 1;
-        frontier.emplace_back(terminal_index, b);
-      }
-      while (!frontier.empty()) {
-        const auto [t, brick] = frontier.back();
-        frontier.pop_back();
-        ++p.bricks;
-        const BrickGrid& grid = grids[static_cast<size_t>(t)];
-        add_flops(graph, sg.nodes[static_cast<size_t>(t)],
-                  static_cast<double>(
-                      grid.valid_extent(grid.grid.unlinear(brick)).product()),
-                  &p);
-        for_each_dep(graph, sg, grids, t, brick, [&](int pi, i64 pb) {
-          char& mark = seen[static_cast<size_t>(pi)][static_cast<size_t>(pb)];
-          if (!mark) {
-            mark = 1;
-            frontier.emplace_back(pi, pb);
-          }
-        });
-      }
+    case Strategy::kMemoized:
+      // The bricks a fault-free run computes exactly once, each claimed and
+      // published with one CAS apiece.
+      p.bricks = walk.for_each_reachable(add_brick_flops);
       p.invocations = p.bricks;
       p.compulsory_atomics = 2 * p.bricks;
       break;
-    }
-    case Strategy::kWavefront: {
+    case Strategy::kWavefront:
       // Exact bricks, every brick of every layer, no atomics. The wave count
       // (and its barrier cost) depends on the skew choice and is not
       // predicted here.
-      for (size_t t = 0; t < grids.size(); ++t) {
-        const BrickGrid& grid = grids[t];
-        p.bricks += grid.num_bricks();
-        for (i64 b = 0; b < grid.num_bricks(); ++b) {
-          add_flops(graph, sg.nodes[t],
-                    static_cast<double>(
-                        grid.valid_extent(grid.grid.unlinear(b)).product()),
-                    &p);
+      for (int layer = 0; layer < walk.num_layers(); ++layer) {
+        for (i64 b = 0; b < walk.grid(layer).num_bricks(); ++b) {
+          add_brick_flops(layer, b);
         }
       }
+      p.bricks = walk.total_bricks();
       p.invocations = p.bricks;
       break;
-    }
     case Strategy::kVendor:
       break;  // handled above
   }

@@ -58,16 +58,6 @@ void CacheModel::init_storage() {
   }
 }
 
-bool CacheModel::refresh_storage_if_clean() {
-  if (!touched_sets_.empty()) return false;
-  // Every touched set has been flushed, so all tags are empty: re-running
-  // the initializer reproduces the current logical state exactly, but the
-  // freshly assigned vector's pages are committed by the *calling* thread.
-  storage_ = std::vector<u64>();
-  init_storage();
-  return true;
-}
-
 template <int W, typename Tag>
 bool CacheModel::contains_ways(u64 line) const {
   const u32 line32 = check_line(line);

@@ -110,12 +110,6 @@ class CacheModel {
   /// models discarding dead intermediate data.
   void invalidate(u64 line);
 
-  /// Re-allocate the per-set metadata from the calling thread (NUMA
-  /// first-touch for per-worker L1s) — legal only while the cache holds no
-  /// touched set, i.e. right after construction or a flush. Returns false
-  /// (and leaves everything alone) otherwise, so counters can never change.
-  bool refresh_storage_if_clean();
-
   /// Disable the incremental split cache (tests compare the fast path's
   /// counters against the pure fastmod derivation bit for bit).
   void set_split_cache_enabled(bool enabled) {

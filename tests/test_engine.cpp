@@ -177,6 +177,28 @@ TEST(Engine, MergedBeatsVendorOnDram) {
   EXPECT_LT(dram_merged, dram_vendor);
 }
 
+// A layer whose own footprint exceeds the L2 budget is planned vendor, so
+// the plan passes the engine's budget check and runs, bit-exact.
+TEST(Engine, OverBudgetLayerRunsVendor) {
+  const Graph g = build_conv_chain_2d(6, 1, 96, 64);
+  EngineOptions options;
+  options.partition.cost_aware = false;
+  options.partition.l2_budget = 1;
+  Engine engine(g, options);
+  for (const PlannedSubgraph& planned : engine.partition().subgraphs) {
+    EXPECT_EQ(planned.strategy, Strategy::kVendor);
+  }
+  WeightStore ws(99);
+  const Tensor input = random_input(g);
+  NumericBackend backend(g, ws, 4);
+  const auto result = engine.run_checked(backend, &input);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const auto reference = run_graph_reference(g, input, ws);
+  EXPECT_EQ(max_abs_diff(backend.read(result.value().output),
+                         reference[static_cast<size_t>(g.outputs()[0])]),
+            0.0);
+}
+
 TEST(Engine, PartitionExposed) {
   Graph g = build_conv_chain_2d(4, 1, 20, 3);
   Engine engine(g, {});

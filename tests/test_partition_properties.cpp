@@ -56,7 +56,7 @@ void check_partition_properties(const Graph& g, const Partition& p,
              "broken or cyclic)";
     }
     produced[static_cast<size_t>(planned.sg.terminal())] = true;
-    if (planned.strategy != Strategy::kVendor && planned.sg.nodes.size() > 1) {
+    if (planned.strategy != Strategy::kVendor) {
       EXPECT_LE(planned.footprint_bytes, l2_budget)
           << "merged subgraph terminating at '"
           << g.node(planned.sg.terminal()).name
@@ -95,8 +95,8 @@ TEST(PartitionProperties, RandomGraphs150To199) { sweep_random_graphs(150, 200);
 
 TEST(PartitionProperties, TightBudgetIsHardCap) {
   // An absurdly small budget must keep every merged subgraph within it (in
-  // practice forcing single-layer or vendor groups), never violate coverage.
-  // The literal rules would merge this chain whole under the default budget.
+  // practice forcing every layer to vendor), never violate coverage. The
+  // literal rules would merge this chain whole under the default budget.
   const Graph g = build_conv_chain_2d(6, 1, 96, 64);
   check_all_rule_sets(g, /*l2_budget=*/1);
 }

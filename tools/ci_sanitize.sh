@@ -14,17 +14,19 @@
 #                         and the plan-cache suite
 #                         (concurrent warm-start readers racing a writer
 #                         through the atomic tmp+rename publish).
-#   2. ASan + UBSan:      the differential fuzz suite (random graphs through
-#                         every executor variant) plus the resilience,
-#                         observability, serving, partition, and plan-cache
-#                         suites (includes the malformed-parse corpus, JSON
+#   2. ASan + UBSan:      the differential suite (random graphs through
+#                         every executor variant, and the access-stream pins:
+#                         exact simulated counters per execution path) plus
+#                         the resilience, observability, serving, partition,
+#                         and plan-cache suites (includes the malformed-parse corpus, JSON
 #                         parse-back, and the poisoned-cache-entry rejection
 #                         paths). UBSan halts on the first report
 #                         (-fno-sanitize-recover=undefined plus
 #                         UBSAN_OPTIONS=halt_on_error=1), so undefined
 #                         behaviour fails the stage.
-#   3. Release (-O3 -DNDEBUG): the differential + perf (fast-path vs generic
-#                         kernel) + obs (unit suite plus the CLI and
+#   3. Release (-O3 -DNDEBUG): the differential (fuzz sweep and access-
+#                         stream pins) + perf (fast-path vs generic kernel)
+#                         + obs (unit suite plus the CLI and
 #                         serving-telemetry end-to-end smokes, which validate
 #                         every exported artifact) labels at the optimization
 #                         level the fast paths ship at — vectorized interior
