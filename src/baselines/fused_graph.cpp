@@ -116,10 +116,7 @@ void FusedGraphExecutor::run_group_tiled(const std::vector<int>& group) {
   const Subgraph sg = make_subgraph(graph_, group);
   const HaloPlan plan(graph_, sg, vendor_tiles(terminal, tile_side_).brick);
 
-  const i64 tiles = plan.num_bricks();
-  const int workers = backend_.num_workers();
-  for (i64 t = 0; t < tiles; ++t) {
-    const int worker = static_cast<int>(t * workers / tiles);
+  dispatch_invocations(backend_, plan.num_bricks(), [&](i64 t, int worker) {
     const Dims g = plan.terminal_grid().unlinear(t);
     const auto windows = plan.windows_for_brick(g);
 
@@ -159,7 +156,7 @@ void FusedGraphExecutor::run_group_tiled(const std::vector<int>& group) {
                           windows.at(terminal.id).extent);
     slots.erase(terminal.id);
     for (auto& [nid, slot] : slots) backend_.free_slot(worker, slot);
-  }
+  });
 }
 
 void FusedGraphExecutor::run() {

@@ -18,20 +18,19 @@ void run_node_tiled(const Graph& graph, const Node& node, Backend& backend,
     return;
   }
 
-  // Contiguous tile ranges per worker. Vendor tiles carry no "brick" span.
+  // One invocation per tile through dispatch_invocations. Vendor tiles
+  // carry no "brick" span.
   const BrickGrid tiles = vendor_tiles(node, tile_side);
-  const i64 n = tiles.num_bricks();
-  const int workers = backend.num_workers();
-  std::vector<SlotId> slots;
-  Dims lo, extent;
-  for (i64 t = 0; t < n; ++t) {
-    const int worker = static_cast<int>(t * workers / n);
+  std::vector<std::vector<SlotId>> slots(
+      static_cast<size_t>(backend.num_workers()));  // per-worker scratch
+  dispatch_invocations(backend, tiles.num_bricks(), [&](i64 t, int worker) {
+    Dims lo, extent;
     tiles.brick_window(t, &lo, &extent);
-    const SlotId result =
-        run_invocation(backend, worker, node, srcs, lo, extent,
-                       /*mask_to_bounds=*/false, t, /*traced=*/false, slots);
+    const SlotId result = run_invocation(
+        backend, worker, node, srcs, lo, extent, /*mask_to_bounds=*/false, t,
+        /*traced=*/false, slots[static_cast<size_t>(worker)]);
     backend.store_window(worker, result, out, lo, extent);
-  }
+  });
   (void)graph;
 }
 

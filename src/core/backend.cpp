@@ -88,9 +88,17 @@ NumericBackend::NumericBackend(const Graph& graph, WeightStore& weights,
                                int workers)
     : Backend(graph), weights_(weights), workers_(workers) {
   BDL_CHECK(workers >= 1);
+  if (workers > 1) pool_ = &ThreadPool::shared(workers - 1);
   slots_.resize(static_cast<size_t>(workers));
-  arenas_.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) arenas_.emplace_back();
+  arenas_.resize(static_cast<size_t>(workers));
+  // Every node's weights, looked up (or first created) here, on the
+  // constructing thread: the invocations then read them lock-free, and a
+  // model's weights land in that thread's heap rather than scattered over
+  // the pool threads' heaps by whichever first touched them.
+  node_weights_.reserve(static_cast<size_t>(graph.num_nodes()));
+  for (const Node& node : graph.nodes()) {
+    node_weights_.push_back(weights.weights(node));
+  }
 }
 
 void NumericBackend::invocation_begin(int worker) {
@@ -239,7 +247,8 @@ SlotId NumericBackend::compute(int worker, int node_id,
   out.live = true;
   out.data = arenas_[static_cast<size_t>(worker)].alloc_zeroed(
       static_cast<size_t>(out.channels * out_extent.product()));
-  compute_region(node, region_inputs, weights_.weights(node), out_lo,
+  compute_region(node, region_inputs,
+                 node_weights_[static_cast<size_t>(node_id)], out_lo,
                  out_extent, out.data);
   if (mask_to_bounds) {
     mask_region_outside(out_lo, out_extent, out.channels,

@@ -27,6 +27,7 @@
 #include "sim/cost.hpp"
 #include "sim/memsim.hpp"
 #include "util/arena.hpp"
+#include "util/thread_pool.hpp"
 
 namespace brickdl {
 
@@ -50,6 +51,13 @@ class Backend {
 
   const Graph& graph() const { return graph_; }
   virtual int num_workers() const = 0;
+  /// Host threads the executors run this backend's invocations on: a pool
+  /// of num_workers() - 1 threads, each thread's index its worker, that the
+  /// calling thread joins as the last worker — or nullptr to walk every
+  /// invocation serially on the calling thread in a fixed, reproducible
+  /// order (DESIGN.md §14). A backend returns a pool only if every
+  /// per-worker call below is safe concurrently across workers.
+  virtual ThreadPool* pool() { return nullptr; }
 
   /// Register an activation buffer. `brick_extent` is required for
   /// Layout::kBricked (over blocked dims) and ignored otherwise.
@@ -120,9 +128,13 @@ struct ScratchSlot {
 
 class NumericBackend final : public Backend {
  public:
+  /// More than one worker: invocations run on the calling thread and
+  /// ThreadPool::shared(workers - 1). Reads every node's weights from
+  /// `weights` now, so set() them first.
   NumericBackend(const Graph& graph, WeightStore& weights, int workers);
 
   int num_workers() const override { return workers_; }
+  ThreadPool* pool() override { return pool_; }
   TensorId register_tensor(const Shape& shape, Layout layout,
                            const Dims& brick_extent,
                            const std::string& name) override;
@@ -169,9 +181,11 @@ class NumericBackend final : public Backend {
 
   WeightStore& weights_;
   int workers_;
+  ThreadPool* pool_ = nullptr;
   std::vector<Buffer> buffers_;
   std::vector<std::vector<ScratchSlot>> slots_;  // [worker][slot]
   std::vector<Arena> arenas_;                    // [worker]
+  std::vector<std::span<const float>> node_weights_;  // [node id]
 };
 
 class ModelBackend final : public Backend {

@@ -1,5 +1,7 @@
 #include "core/brick_walk.hpp"
 
+#include <map>
+
 #include "obs/trace.hpp"
 
 namespace brickdl {
@@ -112,6 +114,53 @@ void BrickTable::discard_interiors() {
   }
 }
 
+WaveSchedule wave_schedule(const BrickWalk& walk) {
+  BDL_CHECK_MSG(walk.grid(0).rank() >= 2,
+                "wavefront execution needs at least one spatial dim");
+  // For every (layer, brick row), the highest producer brick row it depends
+  // on must sit in a strictly earlier wave: skew·tp + r' < skew·t + r.
+  WaveSchedule schedule;
+  for (int t = 0; t < walk.num_layers(); ++t) {
+    const Node& node = walk.node(t);
+    const BrickGrid& grid = walk.grid(t);
+    for (i64 r = 0; r < grid.grid[1]; ++r) {
+      const i64 lo = r * grid.brick[1];
+      const i64 extent = std::min(grid.brick[1], grid.blocked[1] - lo);
+      // Representative output window covering the full row band.
+      Dims out_lo = Dims::filled(grid.rank(), 0);
+      Dims out_extent = grid.blocked;
+      out_lo[1] = lo;
+      out_extent[1] = extent;
+      Dims need_lo, need_extent;
+      input_window_blocked(node, out_lo, out_extent, &need_lo, &need_extent);
+
+      for (int tp : walk.producers(t)) {
+        if (tp < 0) continue;  // external: always ready
+        const BrickGrid& p_grid = walk.grid(tp);
+        const i64 hi = std::min(need_lo[1] + need_extent[1],
+                                p_grid.blocked[1]) - 1;
+        if (hi < 0) continue;
+        const i64 dep_row_max = hi / p_grid.brick[1];
+        const i64 gap = static_cast<i64>(t - tp);
+        // skew·tp + dep_row_max < skew·t + r  =>  skew > (dep_row_max-r)/gap
+        schedule.skew = std::max(schedule.skew, (dep_row_max - r) / gap + 1);
+      }
+    }
+  }
+  // Bucket every brick of every layer by its wave; empty waves drop out.
+  std::map<i64, std::vector<std::pair<int, i64>>> waves;
+  for (int t = 0; t < walk.num_layers(); ++t) {
+    const BrickGrid& grid = walk.grid(t);
+    for (i64 b = 0; b < grid.num_bricks(); ++b) {
+      waves[schedule.skew * t + grid.grid.unlinear(b)[1]].emplace_back(t, b);
+    }
+  }
+  for (auto& [wave, bricks] : waves) {
+    schedule.waves.push_back(std::move(bricks));
+  }
+  return schedule;
+}
+
 SlotId run_invocation(Backend& backend, int worker, const Node& node,
                       const std::vector<TensorId>& srcs, const Dims& lo,
                       const Dims& extent, bool mask_to_bounds, i64 brick,
@@ -130,6 +179,25 @@ SlotId run_invocation(Backend& backend, int worker, const Node& node,
   }
   for (SlotId s : slots) backend.free_slot(worker, s);
   return out;
+}
+
+void dispatch_invocations(Backend& backend, i64 n,
+                          const std::function<void(i64, int)>& fn) {
+  ThreadPool* pool = backend.pool();
+  if (!pool) {
+    const int workers = backend.num_workers();
+    for (i64 i = 0; i < n; ++i) fn(i, static_cast<int>(i * workers / n));
+    return;
+  }
+  BDL_CHECK_MSG(pool->size() + 1 == backend.num_workers(),
+                "backend pool must have one thread per worker but the last");
+  // ~8 chunks per worker balances steal granularity against cursor
+  // contention when the units are small and numerous.
+  pool->parallel_for_ranges_with_caller(
+      n, std::max<i64>(1, n / (8 * backend.num_workers())),
+      [&fn](i64 begin, i64 end, int worker) {
+        for (i64 i = begin; i < end; ++i) fn(i, worker);
+      });
 }
 
 }  // namespace brickdl

@@ -17,10 +17,16 @@
 //                    memo/terminal tensors and input sources both exact-brick
 //                    executors compute into;
 //  * run_invocation() — one kernel invocation: begin, load the input window
-//                    from each source, compute, free the inputs.
+//                    from each source, compute, free the inputs;
+//  * wave_schedule() — the §6 wavefront waves over a walk's bricks, which
+//                    the wavefront executor runs and the predictor counts;
+//  * dispatch_invocations() — the one loop over n independent
+//                    invocations: the backend's pool if it has one, else a
+//                    serial walk (DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,6 +127,18 @@ class BrickTable : public BrickWalk {
   std::vector<std::vector<TensorId>> sources_;
 };
 
+/// The §6 wavefront schedule of `walk`'s bricks: brick row r (along the
+/// first spatial dim) of layer ℓ belongs to wave skew·ℓ + r, with the
+/// smallest skew that puts every in-chain dependence in a strictly earlier
+/// wave (one always exists for αX+β ops).
+struct WaveSchedule {
+  i64 skew = 1;
+  /// The non-empty waves in order; each lists its (layer, brick) pairs by
+  /// layer, then brick.
+  std::vector<std::vector<std::pair<int, i64>>> waves;
+};
+WaveSchedule wave_schedule(const BrickWalk& walk);
+
 /// One kernel invocation on `worker`, the step every brick and vendor tile
 /// takes: begin the invocation, load `node`'s input window for the output
 /// window [lo, lo+extent) from each of `srcs` (one per input, in order),
@@ -131,6 +149,17 @@ SlotId run_invocation(Backend& backend, int worker, const Node& node,
                       const std::vector<TensorId>& srcs, const Dims& lo,
                       const Dims& extent, bool mask_to_bounds, i64 brick,
                       bool traced, std::vector<SlotId>& slots);
+
+/// fn(i, worker) for every i in [0, n), each call one unit of independent
+/// work (a padded terminal brick, a vendor tile). With no backend pool the
+/// calls run serially in index order, index i on worker i·workers/n — the
+/// contiguous per-worker ranges of GPU block scheduling, and the order the
+/// model's access stream pins. With a pool they run concurrently in chunks
+/// on the pool threads and the calling thread, each thread's index its
+/// worker; the first throw abandons the unclaimed work and is rethrown once
+/// every chunk has resolved.
+void dispatch_invocations(Backend& backend, i64 n,
+                          const std::function<void(i64, int)>& fn);
 
 template <typename Fn>
 void BrickWalk::for_each_dep(int layer, i64 brick, Fn&& fn) const {

@@ -51,9 +51,9 @@ Status catch_as_status(Body&& body) {
 }
 
 /// Run memoized `stages` — one subgraph, or a chain of consecutive ones
-/// (DESIGN.md §14) — through one MemoizedExecutor on the driver `options`
-/// selects. `io` maps every stage terminal and every input external to the
-/// whole chain.
+/// (DESIGN.md §14) — through one MemoizedExecutor: on the backend's pool when
+/// it has one, else on the deterministic virtual scheduler. `io` maps every
+/// stage terminal and every input external to the whole chain.
 Status run_memoized_checked(const Graph& graph,
                             std::vector<BrickStage> stages,
                             Backend& backend,
@@ -64,13 +64,9 @@ Status run_memoized_checked(const Graph& graph,
     const int workers = std::min(options.memo_workers, backend.num_workers());
     MemoizedExecutor exec(graph, std::move(stages), backend, io, workers,
                           options.memo_watchdog);
-    Status status;
-    if (options.memo_parallel) {
-      ThreadPool pool(workers);
-      status = exec.run_parallel_checked(pool);
-    } else {
-      status = exec.run_checked();
-    }
+    ThreadPool* pool = backend.pool();
+    const Status status =
+        pool ? exec.run_parallel_checked(*pool) : exec.run_checked();
     if (stats_out) *stats_out = exec.stats();
     return status;
   });
@@ -95,7 +91,7 @@ Status check_finite(NumericBackend& numeric, TensorId id,
 /// failure can be reproduced outside the engine, and return the final (most
 /// conservative) strategy's classification to fail the run with.
 Status unrecoverable(const Graph& graph, const SubgraphReport& report,
-                     const EngineOptions& options) {
+                     const EngineOptions& options, int backend_workers) {
   const std::string& name = graph.node(report.plan.sg.terminal()).name;
   const Status& last = report.attempts.back().status;
   std::ostringstream oss;
@@ -108,7 +104,7 @@ Status unrecoverable(const Graph& graph, const SubgraphReport& report,
   oss << "\nbrickdl: replay: run_planned_subgraph_checked on '" << name
       << "' with force_brick_side=" << report.plan.brick_side
       << " memo_workers=" << options.memo_workers
-      << " memo_parallel=" << (options.memo_parallel ? 1 : 0)
+      << " backend_workers=" << backend_workers
       << " (cf. brickdl_fuzz --seed/--graph-idx for fuzzer-found graphs)";
   std::cerr << oss.str() << std::endl;
   if (options.metrics) obs::metrics().counter("engine.failures").add(1);
@@ -501,7 +497,9 @@ Status Engine::run_group(Backend& backend, size_t begin, size_t end,
                          &report)
                  .ok();
       }
-      if (!ok) return unrecoverable(graph_, report, options_);
+      if (!ok) {
+        return unrecoverable(graph_, report, options_, backend.num_workers());
+      }
     }
     if (options_.metrics) {
       obs::metrics().counter("engine.subgraphs").add(1);

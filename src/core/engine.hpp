@@ -34,11 +34,10 @@ struct EngineOptions {
   /// Force one strategy for every merged subgraph (benches compare P vs M).
   std::optional<Strategy> force_strategy;
   i64 force_brick_side = 0;  ///< 0 = model-chosen
-  int memo_workers = 16;     ///< virtual workers for the memoized scheduler
-  /// Drive memoized subgraphs with MemoizedExecutor::run_parallel() on a
-  /// real thread pool of `memo_workers` threads instead of the deterministic
-  /// virtual scheduler. Numeric stress mode (differential tests, TSan).
-  bool memo_parallel = false;
+  /// Workers of the memoized protocol, capped at the backend's worker
+  /// count. They run on the backend's pool when it has one (a NumericBackend
+  /// with more than one worker), else on the deterministic virtual scheduler.
+  int memo_workers = 16;
   i64 vendor_tile_side = 32;
   /// Stall-watchdog tuning for memoized subgraphs (DESIGN.md §7).
   MemoizedExecutor::WatchdogOptions memo_watchdog;

@@ -456,16 +456,18 @@ Status MemoizedExecutor::run_checked() {
 }
 
 Status MemoizedExecutor::run_parallel_checked(ThreadPool& pool) {
-  BDL_CHECK_MSG(pool.size() == num_workers_,
-                "pool size must equal the executor's worker count");
+  BDL_CHECK_MSG(pool.size() + 1 >= num_workers_,
+                "pool and caller fewer than the executor's worker count");
   trace_gate_ = obs::Tracer::enabled();
   const auto t0 = std::chrono::steady_clock::now();
-  pool.parallel_for(num_workers_, [this](i64 w, int /*pool_worker*/) {
-    while (advance(static_cast<int>(w), /*spin_wait=*/true)) {
-    }
-    workers_[static_cast<size_t>(w)]->finish_time =
-        std::chrono::steady_clock::now();
-  });
+  // Grain 1: each claim is one whole protocol worker, run to completion.
+  pool.parallel_for_ranges_with_caller(
+      num_workers_, 1, [this](i64 w, i64 /*end*/, int /*thread*/) {
+        while (advance(static_cast<int>(w), /*spin_wait=*/true)) {
+        }
+        workers_[static_cast<size_t>(w)]->finish_time =
+            std::chrono::steady_clock::now();
+      });
   auto max_finish = t0;
   for (const auto& w : workers_) {
     max_finish = std::max(max_finish, w->finish_time);

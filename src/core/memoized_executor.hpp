@@ -21,13 +21,16 @@
 // the stages one-by-one. The single-subgraph constructor is the
 // one-stage special case.
 //
-// Two drivers share the protocol code and the real std::atomic state:
+// Two entry points share the protocol code and the real std::atomic state;
+// the engine picks the one the backend implies (DESIGN.md §14):
 //  * run()          — deterministic round-robin virtual scheduler: one
 //                     protocol step per worker per tick. This models many
 //                     concurrently-resident blocks on one thread, so conflict
-//                     counts are reproducible; used by the model benches.
-//  * run_parallel() — one OS thread per worker (numeric stress mode): the
-//                     protocol must be linearizable, and the tests hammer it.
+//                     counts are reproducible; used for a backend with no
+//                     pool (the model backend, a one-worker numeric one).
+//  * run_parallel() — the workers on real threads: the backend's pool and
+//                     the caller (a numeric backend with several workers).
+//                     The protocol must be linearizable; the tests hammer it.
 //
 // Resilience (DESIGN.md §7): the paper's protocol assumes every worker
 // eventually publishes. This implementation does not — a stall watchdog
@@ -120,7 +123,9 @@ class MemoizedExecutor {
   /// Returns kKernelFailure if a kernel faulted, kExecutorStall if workers
   /// stopped before every terminal brick completed.
   Status run_checked();
-  /// Real-thread execution; pool must have exactly num_workers threads.
+  /// Real-thread execution on `pool`'s threads and the calling thread, at
+  /// least num_workers of them together; protocol worker w runs on one of
+  /// them, as backend worker w.
   Status run_parallel_checked(ThreadPool& pool);
 
   /// Throwing wrappers around the checked drivers (legacy call sites).

@@ -1,7 +1,5 @@
 #include "core/padded_executor.hpp"
 
-#include <algorithm>
-
 #include "core/brick_walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -75,33 +73,16 @@ void PaddedExecutor::run_brick(i64 brick_index, int worker, bool traced) {
   }
 }
 
-Status PaddedExecutor::run_checked(ThreadPool* pool) {
-  const int workers = backend_.num_workers();
-  if (pool && pool->size() > workers) {
-    return Status(StatusCode::kInvalidOptions,
-                  "thread pool larger than backend worker count");
-  }
+Status PaddedExecutor::run_checked() {
   Status status;
   // One enabled-check per run instead of one per span in the brick loop:
   // disabled-tracing runs construct every span pre-gated off.
   const bool traced = obs::Tracer::enabled();
   try {
     const i64 n = plan_.num_bricks();
-    if (pool) {
-      // Chunked claims: ~8 chunks per worker balances steal granularity
-      // against cursor contention when bricks are small and numerous.
-      const i64 grain = std::max<i64>(1, n / (8 * pool->size()));
-      pool->parallel_for_ranges(
-          n, grain, [this, traced](i64 begin, i64 end, int worker) {
-            for (i64 i = begin; i < end; ++i) run_brick(i, worker, traced);
-          });
-    } else {
-      // Contiguous brick ranges per worker, like GPU block scheduling.
-      for (i64 i = 0; i < n; ++i) {
-        const int worker = static_cast<int>(i * workers / n);
-        run_brick(i, worker, traced);
-      }
-    }
+    dispatch_invocations(backend_, n, [this, traced](i64 i, int worker) {
+      run_brick(i, worker, traced);
+    });
     bricks_executed_ += n;
     obs::metrics().counter("padded.runs").add(1);
     obs::metrics().counter("padded.bricks").add(n);

@@ -14,7 +14,6 @@
 #include "core/backend.hpp"
 #include "core/halo_plan.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
 
 namespace brickdl {
 
@@ -26,14 +25,14 @@ class PaddedExecutor {
                  Backend& backend,
                  const std::unordered_map<int, TensorId>& io);
 
-  /// Execute all terminal bricks. With `pool`, bricks run concurrently on
-  /// real threads (numeric stress mode); otherwise a deterministic serial
-  /// sweep assigns contiguous brick ranges to backend workers, mirroring GPU
-  /// block scheduling. A faulting kernel aborts the sweep and returns a
-  /// classified kKernelFailure; scratch is discarded either way.
-  Status run_checked(ThreadPool* pool = nullptr);
+  /// Execute all terminal bricks through dispatch_invocations: concurrently
+  /// on the backend's pool, or a serial sweep assigning contiguous brick
+  /// ranges to backend workers, mirroring GPU block scheduling. A faulting
+  /// kernel aborts the sweep and returns a classified kKernelFailure;
+  /// scratch is discarded either way.
+  Status run_checked();
   /// Throwing wrapper (legacy call sites).
-  void run(ThreadPool* pool = nullptr) { run_checked(pool).throw_if_error(); }
+  void run() { run_checked().throw_if_error(); }
 
   i64 bricks_executed() const { return bricks_executed_; }
 

@@ -2,11 +2,12 @@
 // ("replacing cuDNN library calls with ... optimizations such as wavefront
 // parallelization and performing skewed cuts across layers").
 //
-// Bricks are assigned to *waves*: brick row r of the subgraph's ℓ-th layer
-// belongs to wave  w = skew·ℓ + r,  with the skew factor chosen so that
-// every dependence (which always points to an earlier layer) lands in a
-// strictly earlier wave. Waves execute in order with a device-wide sync
-// between them; bricks within a wave are independent and run concurrently.
+// Bricks are assigned to *waves* (wave_schedule, core/brick_walk.hpp): brick
+// row r of the subgraph's ℓ-th layer belongs to wave  w = skew·ℓ + r,  with
+// the skew factor chosen so that every dependence (which always points to an
+// earlier layer) lands in a strictly earlier wave. Waves execute in order
+// with a device-wide sync between them; bricks within a wave are independent
+// and run concurrently.
 //
 // Compared to the paper's two strategies this trades differently:
 //  * like memoized bricks, no redundant halo computation (exact bricks);
@@ -49,26 +50,16 @@ class WavefrontExecutor {
   const Stats& stats() const { return stats_; }
 
   /// The skew factor chosen for this subgraph (exposed for tests).
-  i64 skew() const { return skew_; }
+  i64 skew() const { return schedule_.skew; }
 
  private:
-  struct BrickRef {
-    int layer;
-    i64 brick;  ///< linear index in that layer's grid
-  };
-
-  /// Wave index of a brick: skew·layer + its row along the first spatial dim.
-  i64 wave_of(int layer, const Dims& grid_coord) const;
   void compute_brick(int worker, int layer, i64 brick);
-  /// Smallest skew that strictly orders every dependence (always exists for
-  /// αX+β ops: a large enough skew separates any two layers).
-  i64 choose_skew() const;
 
   Backend& backend_;
   BrickTable table_;  // one stage: grids, memo buffers, input sources
   std::vector<SlotId> input_slots_;  // reused across compute_brick (serial)
   bool trace_gate_ = true;           ///< Tracer::enabled(), sampled per run
-  i64 skew_ = 0;
+  WaveSchedule schedule_;
   Stats stats_;
 };
 

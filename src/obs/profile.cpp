@@ -34,10 +34,10 @@ void add_flops(const Graph& graph, int nid, double volume,
   (uses_tensor_cores(node) ? p->tc_flops : p->flops) += f;
 }
 
-/// Perfect-overlap time from the predicted counters, through the same
-/// CostModel::breakdown the observed side uses.
+/// Perfect-overlap time from the predicted counters and `syncs` device-wide
+/// barriers, through the same CostModel::breakdown the observed side uses.
 double predicted_seconds(const SubgraphPrediction& p, double rho,
-                         const MachineParams& machine) {
+                         const MachineParams& machine, i64 syncs = 0) {
   const CostModel cost(machine);
   TxnCounters txns;
   txns.dram_read = ceil_div(p.bytes_read, machine.line_bytes);
@@ -48,6 +48,7 @@ double predicted_seconds(const SubgraphPrediction& p, double rho,
   tally.flops = p.flops;
   tally.tc_flops = p.tc_flops;
   tally.bricks_reduced = p.bricks;
+  tally.syncs = syncs;
   return cost.breakdown(txns, tally, rho).total();
 }
 
@@ -90,6 +91,7 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
               &p);
   };
 
+  i64 syncs = 0;
   switch (planned.strategy) {
     case Strategy::kPadded: {
       // One invocation per (terminal brick, layer); each computes the
@@ -123,14 +125,14 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
       p.compulsory_atomics = 2 * p.bricks;
       break;
     case Strategy::kWavefront:
-      // Exact bricks, every brick of every layer, no atomics. The wave count
-      // (and its barrier cost) depends on the skew choice and is not
-      // predicted here.
+      // Exact bricks, every brick of every layer, no atomics; one barrier
+      // per wave of the executor's own schedule.
       for (int layer = 0; layer < walk.num_layers(); ++layer) {
         for (i64 b = 0; b < walk.grid(layer).num_bricks(); ++b) {
           add_brick_flops(layer, b);
         }
       }
+      syncs = static_cast<i64>(wave_schedule(walk).waves.size());
       p.bricks = walk.total_bricks();
       p.invocations = p.bricks;
       break;
@@ -139,7 +141,7 @@ SubgraphPrediction predict_subgraph(const Graph& graph,
   }
 
   add_merged_bytes(graph, sg, &p);
-  p.seconds = predicted_seconds(p, planned.rho, machine);
+  p.seconds = predicted_seconds(p, planned.rho, machine, syncs);
   return p;
 }
 

@@ -19,8 +19,10 @@
 //  * DRAM bytes — compulsory traffic only (inputs and weights streamed once,
 //    terminal written once); observed traffic adds capacity misses, so the
 //    golden tests compare within a stated tolerance;
-//  * conflict atomics, defers, wave-sync count — schedule-dependent, not
-//    predicted (reported as zero).
+//  * wave syncs — exact: the wavefront executor's own wave_schedule, priced
+//    into `seconds` (one t_wave_sync per wave);
+//  * conflict atomics, defers — schedule-dependent, not predicted (reported
+//    as zero).
 #pragma once
 
 #include "core/partitioner.hpp"

@@ -27,8 +27,12 @@ struct ServeOptions {
   i64 max_batch_rows = 0;
   i64 footprint_budget = 0;
 
-  /// Worker count for the per-run NumericBackend.
-  int backend_workers = 4;
+  /// Worker count for the per-run NumericBackend. More than one runs each
+  /// batch's invocations on the shared host pool (DESIGN.md §14), which
+  /// pays only for batches large enough to amortize the thread hand-offs:
+  /// on brickdl_serve's 3-layer 16² conv chain, 4 workers served fewer
+  /// requests at a higher p50 than 1.
+  int backend_workers = 1;
 
   /// Cross-batch pipelining (DESIGN.md §14): up to this many batched engine
   /// runs may execute concurrently on a runner pool, so request B's first

@@ -196,10 +196,6 @@ struct DiffRun {
         eo.force_brick_side = side;
         eo.memo_workers = workers;
         engine_variant("memo" + b + w, eo, workers);
-        if (o.memo_parallel) {
-          eo.memo_parallel = true;
-          engine_variant("memo-par" + b + w, eo, workers);
-        }
       }
     }
   }

@@ -12,13 +12,21 @@
 // reset(). reset() keeps the high-water-mark capacity, so a steady-state
 // brick loop performs zero heap allocations.
 //
+// Blocks are page-granular slabs mapped straight from the OS, not malloc
+// chunks: an arena grows on whichever pool thread runs its worker, and
+// malloc would cache the blocks it outgrows in that thread's own heap, where
+// nothing else reuses them. An unmapped slab returns its pages at once.
+//
 // Not thread-safe; each pool worker owns one arena.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -41,7 +49,7 @@ class Arena {
       grow(n);
     }
     Block& b = blocks_.back();
-    float* p = b.data.get() + b.used;
+    float* p = b.data + b.used;
     b.used += n;
     return {p, n};
   }
@@ -61,15 +69,30 @@ class Arena {
       size_t total = 0;
       for (const Block& b : blocks_) total += b.cap;
       blocks_.clear();
-      blocks_.push_back(Block{std::make_unique<float[]>(total), total, 0});
+      blocks_.emplace_back(total);
     } else if (!blocks_.empty()) {
       blocks_.back().used = 0;
     }
   }
 
  private:
+  /// One mapped slab of `cap` floats (the kernel rounds it to whole pages).
   struct Block {
-    std::unique_ptr<float[]> data;
+    explicit Block(size_t floats) : cap(floats) {
+      void* p = mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      data = static_cast<float*>(p);
+    }
+    Block(Block&& o) noexcept
+        : data(std::exchange(o.data, nullptr)), cap(o.cap), used(o.used) {}
+    Block& operator=(Block&&) = delete;
+    ~Block() {
+      if (data) munmap(data, bytes());
+    }
+    size_t bytes() const { return cap * sizeof(float); }
+
+    float* data = nullptr;
     size_t cap = 0;
     size_t used = 0;
   };
@@ -80,7 +103,7 @@ class Arena {
     size_t cap = min_block_floats_;
     if (!blocks_.empty()) cap = std::max(cap, 2 * blocks_.back().cap);
     cap = std::max(cap, n);
-    blocks_.push_back(Block{std::make_unique<float[]>(cap), cap, 0});
+    blocks_.emplace_back(cap);
   }
 
   size_t min_block_floats_;

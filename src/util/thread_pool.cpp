@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -15,6 +16,17 @@ ThreadPool::ThreadPool(int workers) {
   for (int w = 0; w < workers; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
   }
+}
+
+ThreadPool& ThreadPool::shared(int workers) {
+  // Leaked on purpose: joining at static destruction would race the
+  // tracer's own teardown, and an idle pool holds no work to finish.
+  static std::mutex mu;
+  static auto* pools = new std::map<int, std::unique_ptr<ThreadPool>>();
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = (*pools)[workers];
+  if (!pool) pool = std::make_unique<ThreadPool>(workers);
+  return *pool;
 }
 
 ThreadPool::~ThreadPool() {
@@ -43,6 +55,17 @@ void ThreadPool::parallel_for(i64 n, const std::function<void(i64, int)>& f,
 
 void ThreadPool::parallel_for_ranges(
     i64 n, i64 grain, const std::function<void(i64, i64, int)>& f) {
+  run_ranges(n, grain, f, /*caller_worker=*/-1);
+}
+
+void ThreadPool::parallel_for_ranges_with_caller(
+    i64 n, i64 grain, const std::function<void(i64, i64, int)>& f) {
+  run_ranges(n, grain, f, /*caller_worker=*/size());
+}
+
+void ThreadPool::run_ranges(i64 n, i64 grain,
+                            const std::function<void(i64, i64, int)>& f,
+                            int caller_worker) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   // Shared state lives on the heap: straggler workers (which may find the
@@ -59,41 +82,48 @@ void ThreadPool::parallel_for_ranges(
   auto state = std::make_shared<State>();
 
   const bool traced = obs::Tracer::enabled();
-  const int fanout = size();
-  for (int w = 0; w < fanout; ++w) {
-    submit([state, n, grain, traced, &f](int worker) {
-      i64 resolved = 0;
-      for (i64 begin = state->next.fetch_add(grain); begin < n;
-           begin = state->next.fetch_add(grain)) {
-        const i64 end = std::min(begin + grain, n);
-        // After a failure, keep claiming chunks (so `done` still reaches n
-        // and the waiter wakes) but stop running user work.
-        if (!state->failed.load(std::memory_order_acquire)) {
-          try {
-            obs::TraceSpan task_span(
-                "pool", "task",
-                {{"begin", begin}, {"end", end}, {"worker", worker}}, traced);
-            f(begin, end, worker);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(state->mu);
-            if (!state->error) state->error = std::current_exception();
-            state->failed.store(true, std::memory_order_release);
-          }
+  const auto claim_loop = [state, n, grain, traced, &f](int worker) {
+    i64 resolved = 0;
+    for (i64 begin = state->next.fetch_add(grain); begin < n;
+         begin = state->next.fetch_add(grain)) {
+      const i64 end = std::min(begin + grain, n);
+      // After a failure, keep claiming chunks (so `done` still reaches n
+      // and the waiter wakes) but stop running user work.
+      if (!state->failed.load(std::memory_order_acquire)) {
+        try {
+          obs::TraceSpan task_span(
+              "pool", "task",
+              {{"begin", begin}, {"end", end}, {"worker", worker}}, traced);
+          f(begin, end, worker);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          if (!state->error) state->error = std::current_exception();
+          state->failed.store(true, std::memory_order_release);
         }
-        resolved += end - begin;
       }
-      // Note: `f` is only dereferenced for chunks within [0, n), all of which
-      // resolve before `done` reaches n and the caller is released.
-      if (state->done.fetch_add(resolved) + resolved == n) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
-    });
-  }
+      resolved += end - begin;
+    }
+    // Note: `f` is only dereferenced for chunks within [0, n), all of which
+    // resolve before `done` reaches n and the caller is released.
+    if (state->done.fetch_add(resolved) + resolved == n) {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->cv.notify_all();
+    }
+  };
+  // One claim loop per chunk at most, the caller's included: a dispatch of
+  // one chunk with the caller wakes no pool thread.
+  const bool caller = caller_worker >= 0;
+  const i64 chunks = (n + grain - 1) / grain;
+  const i64 helpers = std::min<i64>(size(), chunks - (caller ? 1 : 0));
+  for (i64 w = 0; w < helpers; ++w) submit(claim_loop);
+  if (caller) claim_loop(caller_worker);
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done.load() == n; });
   if (state->failed.load()) {
-    std::exception_ptr error = state->error;
+    // Moved out, not copied: a straggler task may drop the last reference
+    // to `state` on its own thread after this returns, and the exception
+    // must be released on this one, which catches it.
+    std::exception_ptr error = std::move(state->error);
     lock.unlock();
     std::rethrow_exception(error);
   }

@@ -25,6 +25,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The process-wide pool of `workers` threads, created on first use and
+  /// never destroyed: every caller asking for the same thread count shares
+  /// it, so code that builds a short-lived owner per run (a backend per
+  /// inference, per served batch) spawns no threads after the first.
+  /// Several threads may run parallel_for on it at once.
+  static ThreadPool& shared(int workers);
+
   int size() const { return static_cast<int>(threads_.size()); }
 
   /// Enqueue one task. May be called from worker threads.
@@ -51,10 +58,23 @@ class ThreadPool {
       i64 n, i64 grain,
       const std::function<void(i64 begin, i64 end, int worker)>& f);
 
+  /// parallel_for_ranges with the calling thread as one more worker, index
+  /// size(): it claims chunks beside the pool threads and returns once every
+  /// chunk has run. Only as many pool threads as there are chunks beyond
+  /// the caller's first are woken, so a one-chunk dispatch runs inline.
+  void parallel_for_ranges_with_caller(
+      i64 n, i64 grain,
+      const std::function<void(i64 begin, i64 end, int worker)>& f);
+
   /// Block until the queue is empty and all workers are idle.
   void wait_idle();
 
  private:
+  /// The two parallel_for_ranges forms; `caller_worker` < 0: the caller
+  /// only waits.
+  void run_ranges(i64 n, i64 grain,
+                  const std::function<void(i64, i64, int)>& f,
+                  int caller_worker);
   void worker_loop(int worker);
 
   std::vector<std::thread> threads_;

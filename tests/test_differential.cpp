@@ -2,9 +2,9 @@
 //
 // Sweeps ≥50 seeded random graphs through every executor variant — kernel
 // reference, vendor fallback, the three fused-baseline rule sets, and the
-// Engine with padded / wavefront / memoized (virtual run() and real-thread
-// run_parallel()) forced across brick sides {4,8,16,32} × memo worker
-// counts {1,4,16} — asserting exact elementwise
+// Engine with padded / wavefront / memoized forced across brick sides
+// {4,8,16,32} × backend worker counts {1,4,16} (one worker walks serially,
+// more run on the backend's thread pool) — asserting exact elementwise
 // agreement with the independent eager oracle. Failures print a replay
 // command for tools/brickdl_fuzz.
 //
@@ -569,7 +569,6 @@ TEST(Differential, PlanCacheTwinsBitIdentical) {
   options.worker_counts = {2};
   options.kernel_reference = false;
   options.fused_baselines = false;
-  options.memo_parallel = false;
   for (int idx = 0; idx < 4; ++idx) {
     const std::vector<DiffFailure> failures =
         run_differential(kSweepSeed, idx, options);

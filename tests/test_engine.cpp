@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "baselines/fused_graph.hpp"
 #include "core/engine.hpp"
+#include "core/fault_hooks.hpp"
 #include "models/models.hpp"
 
 namespace brickdl {
@@ -203,6 +210,107 @@ TEST(Engine, PartitionExposed) {
   Graph g = build_conv_chain_2d(4, 1, 20, 3);
   Engine engine(g, {});
   EXPECT_GE(engine.partition().subgraphs.size(), 1u);
+}
+
+// ---- host parallelism is a property of the backend (DESIGN.md §14) ----
+
+/// Records every host thread that starts a kernel invocation, and holds the
+/// first one (up to a deadline) until a second thread starts one too: on a
+/// backend that runs invocations concurrently the second thread arrives
+/// while the first waits, whatever the OS scheduler does; on a serial walk
+/// it never does.
+class KernelThreads final : public FaultHooks {
+ public:
+  bool on_kernel(int, int) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    cv_.notify_all();
+    if (!held_) {
+      held_ = true;
+      cv_.wait_for(lock, std::chrono::seconds(10),
+                   [this] { return threads_.size() >= 2; });
+    }
+    return true;
+  }
+  size_t count() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::thread::id> threads_;
+  bool held_ = false;
+};
+
+// A four-worker NumericBackend runs the invocations of every forced strategy
+// on its pool — more than one host thread — and the output stays bit-exact.
+TEST(Engine, MultiWorkerNumericBackendRunsOnPoolThreads) {
+  const Graph g = build_conv_chain_2d(3, 1, 32, 4);
+  WeightStore ws(99);
+  const Tensor input = random_input(g);
+  const Tensor reference =
+      run_graph_reference(g, input, ws)[static_cast<size_t>(g.outputs()[0])];
+  for (Strategy strategy :
+       {Strategy::kPadded, Strategy::kMemoized, Strategy::kVendor}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    EngineOptions options;
+    options.partition.cost_aware = false;  // merge even at test scale
+    options.force_strategy = strategy;
+    options.force_brick_side = 4;
+    options.vendor_tile_side = 4;
+    Engine engine(g, options);
+    NumericBackend backend(g, ws, 4);
+    KernelThreads threads;
+    install_fault_hooks(&threads);
+    const auto result = engine.run_checked(backend, &input);
+    install_fault_hooks(nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    for (const SubgraphReport& report : result.value().reports) {
+      EXPECT_EQ(report.executed, strategy);
+    }
+    EXPECT_GE(threads.count(), 2u);
+    EXPECT_EQ(max_abs_diff(backend.read(result.value().output), reference),
+              0.0);
+  }
+}
+
+// Two engines on their own four-worker backends at once — the serving
+// layer's max_inflight_batches > 1 — share one pool and stay bit-exact.
+TEST(Engine, ConcurrentEnginesShareOnePool) {
+  const Graph g = build_conv_chain_2d(3, 1, 32, 4);
+  WeightStore ws(99);
+  const Tensor input = random_input(g);
+  const Tensor reference =
+      run_graph_reference(g, input, ws)[static_cast<size_t>(g.outputs()[0])];
+
+  NumericBackend probe_a(g, ws, 4), probe_b(g, ws, 4);
+  EXPECT_EQ(probe_a.pool(), probe_b.pool());
+
+  const auto serve = [&](Strategy strategy, Tensor* out) {
+    EngineOptions options;
+    options.partition.cost_aware = false;
+    options.force_strategy = strategy;
+    options.force_brick_side = 4;
+    Engine engine(g, options);
+    for (int run = 0; run < 4; ++run) {
+      NumericBackend backend(g, ws, 4);
+      const auto result = engine.run_checked(backend, &input);
+      if (!result.ok()) return;  // *out stays empty: the check below fails
+      *out = backend.read(result.value().output);
+      if (max_abs_diff(*out, reference) != 0.0) return;
+    }
+  };
+  Tensor out_a, out_b;
+  std::thread a(serve, Strategy::kMemoized, &out_a);
+  std::thread b(serve, Strategy::kPadded, &out_b);
+  a.join();
+  b.join();
+  ASSERT_EQ(out_a.dims(), reference.dims());
+  ASSERT_EQ(out_b.dims(), reference.dims());
+  EXPECT_EQ(max_abs_diff(out_a, reference), 0.0);
+  EXPECT_EQ(max_abs_diff(out_b, reference), 0.0);
 }
 
 }  // namespace

@@ -531,11 +531,7 @@ void expect_close(double predicted, double observed, double tol,
       << what << ": predicted " << predicted << " observed " << observed;
 }
 
-/// `check_seconds` false: the predictor does not model the strategy's
-/// schedule-dependent time (wavefront wave syncs), so only the structural
-/// quantities and bytes are compared.
-void check_golden(Strategy strategy, double bytes_tol,
-                  bool check_seconds = true) {
+void check_golden(Strategy strategy, double bytes_tol) {
   // Fixed graph: 3-layer 2D conv chain, 24x24 input, 2 channels. Small
   // enough that the whole working set is L2-resident, so observed DRAM
   // traffic is dominated by the compulsory bytes the predictor counts.
@@ -569,7 +565,6 @@ void check_golden(Strategy strategy, double bytes_tol,
                  "bytes_moved");
 
     // Modeled time comes from the same §4 breakdown on both sides.
-    if (!check_seconds) continue;
     const CostModel cost(run.machine);
     const double observed_s =
         cost.breakdown(r.txns, r.tally, r.plan.rho).total();
@@ -587,7 +582,7 @@ TEST(ObsProfile, GoldenMemoizedPrediction) {
 }
 
 TEST(ObsProfile, GoldenWavefrontPrediction) {
-  check_golden(Strategy::kWavefront, 0.35, /*check_seconds=*/false);
+  check_golden(Strategy::kWavefront, 0.35);
 }
 
 TEST(ObsProfile, PredictionOffByDefault) {

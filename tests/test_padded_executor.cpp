@@ -10,9 +10,10 @@ namespace {
 
 /// Execute `sg` (single external input = graph input) with padded bricks on
 /// a numeric backend and compare the terminal against the reference run.
+/// More than one worker runs the bricks on the backend's thread pool.
 void check_padded_matches_reference(const Graph& g, const Subgraph& sg,
-                                    const Dims& brick_extent, int workers = 3,
-                                    bool parallel = false) {
+                                    const Dims& brick_extent,
+                                    int workers = 3) {
   WeightStore ws(5);
   const Node& input_node = g.node(sg.external_inputs[0]);
   Tensor input(input_node.out_shape);
@@ -37,12 +38,7 @@ void check_padded_matches_reference(const Graph& g, const Subgraph& sg,
 
   const HaloPlan plan(g, sg, brick_extent);
   PaddedExecutor exec(g, sg, plan, backend, io);
-  if (parallel) {
-    ThreadPool pool(workers);
-    exec.run(&pool);
-  } else {
-    exec.run();
-  }
+  exec.run();
   EXPECT_EQ(exec.bricks_executed(), plan.num_bricks());
   EXPECT_TRUE(allclose(backend.read(out),
                        reference[static_cast<size_t>(sg.terminal())], 1e-4));
@@ -146,8 +142,10 @@ TEST(PaddedExecutor, BatchedInput) {
 
 TEST(PaddedExecutor, ParallelThreadsMatchSerial) {
   Graph g = build_conv_chain_2d(3, 1, 18, 3);
-  check_padded_matches_reference(g, all_non_input_nodes(g), Dims{1, 4, 4},
-                                 /*workers=*/4, /*parallel=*/true);
+  for (int workers : {1, 4}) {  // serial walk, then the shared pool
+    check_padded_matches_reference(g, all_non_input_nodes(g), Dims{1, 4, 4},
+                                   workers);
+  }
 }
 
 TEST(PaddedExecutor, SingleBrickDegenerate) {

@@ -43,14 +43,72 @@ Graph chain_model() { return build_conv_chain_2d(6, 1, 32, 8); }
 /// is {memoized, memoized} with a vendor barrier point behind it.
 Graph mixed_model() { return build_conv_chain_2d(6, 1, 24, 4); }
 
-EngineOptions chain_options(int workers = 4, bool parallel = false) {
+EngineOptions chain_options(int workers = 4) {
   EngineOptions eo;
   eo.partition.max_layers = 2;
   eo.force_strategy = Strategy::kMemoized;
   eo.memo_workers = workers;
-  eo.memo_parallel = parallel;
   return eo;
 }
+
+/// A NumericBackend seen through a Backend without a pool: the engine drives
+/// its memoized chains on the deterministic virtual scheduler, so the
+/// virtual-scheduler tests below keep several protocol workers on real
+/// numerics.
+/// The engine binds its input only on a NumericBackend itself, so this binds
+/// `input` to the tensor the engine registers for the graph input.
+class VirtualNumericBackend final : public Backend {
+ public:
+  VirtualNumericBackend(const Graph& graph, WeightStore& ws, int workers,
+                        const Tensor& input)
+      : Backend(graph), inner_(graph, ws, workers), input_(input) {}
+
+  NumericBackend& numeric() { return inner_; }
+
+  int num_workers() const override { return inner_.num_workers(); }
+  TensorId register_tensor(const Shape& shape, Layout layout,
+                           const Dims& brick_extent,
+                           const std::string& name) override {
+    const TensorId id =
+        inner_.register_tensor(shape, layout, brick_extent, name);
+    if (name.rfind("input:", 0) == 0) inner_.bind(id, input_);
+    return id;
+  }
+  void invocation_begin(int worker) override {
+    inner_.invocation_begin(worker);
+  }
+  SlotId load_window(int worker, TensorId src, const Dims& lo,
+                     const Dims& extent) override {
+    return inner_.load_window(worker, src, lo, extent);
+  }
+  void store_window(int worker, SlotId slot, TensorId dst, const Dims& lo,
+                    const Dims& extent) override {
+    inner_.store_window(worker, slot, dst, lo, extent);
+  }
+  void free_slot(int worker, SlotId slot) override {
+    inner_.free_slot(worker, slot);
+  }
+  SlotId compute(int worker, int node_id, const std::vector<SlotId>& inputs,
+                 const Dims& out_lo, const Dims& out_extent,
+                 bool mask_to_bounds) override {
+    return inner_.compute(worker, node_id, inputs, out_lo, out_extent,
+                          mask_to_bounds);
+  }
+  void execute_global(int worker, int node_id,
+                      const std::vector<TensorId>& inputs,
+                      TensorId out) override {
+    inner_.execute_global(worker, node_id, inputs, out);
+  }
+  void count_atomics(i64, i64) override {}
+  void tally_defer(i64) override {}
+  void tally_reduce(i64) override {}
+  void tally_sync(i64) override {}
+  void discard_tensor(TensorId) override {}
+
+ private:
+  NumericBackend inner_;
+  const Tensor& input_;
+};
 
 /// Same plan, but `profile` runs every subgraph as a group of one: the
 /// barriered schedule the chained runs must match bit for bit.
@@ -77,14 +135,19 @@ struct EngineRun {
   std::vector<SubgraphReport> reports;
 };
 
+/// Run on `eo.memo_workers` backend workers: on the backend's thread pool
+/// when `parallel`, else on the virtual scheduler.
 EngineRun run_engine(const Graph& g, const Tensor& input, WeightStore& ws,
-                     const EngineOptions& eo) {
+                     const EngineOptions& eo, bool parallel = false) {
   Engine engine(g, eo);
-  NumericBackend backend(g, ws, eo.memo_workers);
+  VirtualNumericBackend virtual_backend(g, ws, eo.memo_workers, input);
+  NumericBackend& numeric = virtual_backend.numeric();
+  Backend& backend =
+      parallel ? static_cast<Backend&>(numeric) : virtual_backend;
   auto result = engine.run_checked(backend, &input);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   EngineRun run;
-  run.output = backend.read(result.value().output);
+  run.output = numeric.read(result.value().output);
   run.reports = std::move(result.value().reports);
   return run;
 }
@@ -158,7 +221,7 @@ TEST(PipelineChain, ParallelDriverBitIdenticalAcrossWorkerCounts) {
   const EngineRun barriered = run_engine(g, input, ws, barriered_options());
   for (int workers : {2, 5, 8}) {
     const EngineRun run =
-        run_engine(g, input, ws, chain_options(workers, true));
+        run_engine(g, input, ws, chain_options(workers), /*parallel=*/true);
     EXPECT_EQ(max_abs_diff(run.output, barriered.output), 0.0)
         << "workers=" << workers;
     EXPECT_TRUE(run.reports[0].pipelined) << "workers=" << workers;
@@ -210,7 +273,7 @@ TEST(PipelineChain, IdleTailStatsPopulated) {
 
   for (bool parallel : {false, true}) {
     const EngineRun run =
-        run_engine(g, input, ws, chain_options(4, parallel));
+        run_engine(g, input, ws, chain_options(), parallel);
     const MemoizedExecutor::Stats& stats = run.reports[0].memo;
     EXPECT_GE(stats.idle_tail_fraction, 0.0) << "parallel=" << parallel;
     EXPECT_LE(stats.idle_tail_fraction, 1.0) << "parallel=" << parallel;
@@ -236,9 +299,9 @@ void check_cross_boundary_stall_reclaimed(bool parallel) {
   spec.max_fires = 1;
   scoped.injector().arm(spec);
 
-  EngineOptions eo = chain_options(4, parallel);
+  EngineOptions eo = chain_options();
   eo.memo_watchdog = {64, 200};  // reclaim in milliseconds, not seconds
-  const EngineRun run = run_engine(g, input, ws, eo);
+  const EngineRun run = run_engine(g, input, ws, eo, parallel);
 
   ASSERT_EQ(run.reports.size(), 3u);
   // The chain itself absorbed the fault — no barriered fallback re-run.
@@ -279,7 +342,7 @@ void check_chain_failure_degrades(bool parallel) {
   scoped.injector().arm(spec);
 
   const i64 fallbacks_before = counter_value("engine.fallbacks");
-  const EngineRun run = run_engine(g, input, ws, chain_options(4, parallel));
+  const EngineRun run = run_engine(g, input, ws, chain_options(), parallel);
   EXPECT_EQ(scoped.injector().fires(FaultKind::kKernelFailure), 1);
 
   ASSERT_EQ(run.reports.size(), 3u);
@@ -319,10 +382,13 @@ TEST(PipelineResilience, ChainFailureWithoutFallbackFailsRun) {
     spec.max_fires = 1;
     scoped.injector().arm(spec);
 
-    EngineOptions eo = chain_options(4, parallel);
+    EngineOptions eo = chain_options();
     eo.graceful_fallback = false;
     Engine engine(g, eo);
-    NumericBackend backend(g, ws, eo.memo_workers);
+    VirtualNumericBackend virtual_backend(g, ws, eo.memo_workers, input);
+    Backend& backend = parallel
+                           ? static_cast<Backend&>(virtual_backend.numeric())
+                           : virtual_backend;
     const auto result = engine.run_checked(backend, &input);
     ASSERT_FALSE(result.ok()) << "parallel=" << parallel;
     EXPECT_EQ(result.status().code(), StatusCode::kKernelFailure)

@@ -178,18 +178,20 @@ TEST(Resilience, RunPlannedSubgraphReportsMissingIoEntry) {
 // ---------------------------------------------------------------------------
 // Fault matrix: (kernel failure | NaN poison) x (padded | memoized-virtual |
 // memoized-parallel). Every cell must recover through the degradation chain
-// and still produce reference-exact output.
+// and still produce reference-exact output. The backend's worker count picks
+// how the protocol runs: one worker walks on the virtual scheduler, four run
+// on the backend's thread pool.
 
 struct EngineMode {
   const char* name;
   Strategy strategy;
-  bool parallel;
+  int backend_workers;
 };
 
 constexpr EngineMode kModes[] = {
-    {"padded", Strategy::kPadded, false},
-    {"memoized-virtual", Strategy::kMemoized, false},
-    {"memoized-parallel", Strategy::kMemoized, true},
+    {"padded", Strategy::kPadded, 4},
+    {"memoized-virtual", Strategy::kMemoized, 1},
+    {"memoized-parallel", Strategy::kMemoized, 4},
 };
 
 EngineOptions resilient_options(const EngineMode& mode) {
@@ -197,7 +199,6 @@ EngineOptions resilient_options(const EngineMode& mode) {
   options.partition.cost_aware = false;  // merge even at test scale
   options.force_strategy = mode.strategy;
   options.memo_workers = 4;
-  options.memo_parallel = mode.parallel;
   options.memo_watchdog = {64, 200};
   options.verify_finite = true;
   return options;
@@ -217,7 +218,7 @@ void check_fault_recovered(const EngineMode& mode, FaultKind kind,
   spec.kind = kind;
   scoped.injector().arm(spec);  // fire once, on the first kernel
 
-  NumericBackend backend(g, ws, 4);
+  NumericBackend backend(g, ws, mode.backend_workers);
   Engine engine(g, resilient_options(mode));
   const auto result = engine.run_checked(backend, &input);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
@@ -456,6 +457,10 @@ TEST(ResilienceDegradation, UnrecoverableFailureEmitsReplayLine) {
   EXPECT_NE(stderr_text.find("unrecoverable"), std::string::npos)
       << stderr_text;
   EXPECT_NE(stderr_text.find("replay:"), std::string::npos) << stderr_text;
+  // The backend's worker count picks how invocations run, so the replay
+  // names it.
+  EXPECT_NE(stderr_text.find("backend_workers=4"), std::string::npos)
+      << stderr_text;
 }
 
 TEST(ResilienceDegradation, FallbackDisabledSurfacesRawStatus) {

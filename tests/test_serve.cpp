@@ -150,11 +150,13 @@ TEST_P(ServeBatchingStrategies, ConcurrentRequestsBitIdenticalToSolo) {
   ServeOptions opts;
   opts.max_batch = 4;
   opts.max_wait_us = 500000;  // generous: flushes trigger on max_batch
+  // Four backend workers run every batch on the shared pool: real threads,
+  // TSan-meaningful.
+  opts.backend_workers = 4;
   if (std::string(GetParam()) == "padded") {
     opts.engine.force_strategy = Strategy::kPadded;
   } else {
     opts.engine.force_strategy = Strategy::kMemoized;
-    opts.engine.memo_parallel = true;  // real pool: TSan-meaningful
   }
   WeightStore ws(kWeightSeed);
   Server server(model, ws, opts);
@@ -353,6 +355,9 @@ TEST(ServeBatching, InjectedFaultFailsOneRequestBatchMatesSucceed) {
   // No engine-level strategy retries: the injected kernel fault must surface
   // through the *serving* layer's per-request containment instead.
   opts.engine.graceful_fallback = false;
+  // One worker walks the tiles serially, so a failing run stops at its
+  // first fire; several pool threads could spend both fires in one run.
+  opts.backend_workers = 1;
 
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) {
@@ -665,7 +670,6 @@ TEST(ServeOverload, BreakerOpensRoutesDegradedAndRecoversViaProbe) {
   opts.engine.partition.cost_aware = false;  // merge even at test scale
   opts.engine.force_strategy = Strategy::kMemoized;
   opts.engine.memo_workers = 4;
-  opts.engine.memo_parallel = false;         // deterministic stall detection
   opts.engine.memo_watchdog = {64, 200};
   WeightStore ws(kWeightSeed);
   Server server(model, ws, opts);
@@ -854,7 +858,6 @@ TEST(ServeTelemetry, FlightRecordPerBreakerOpenValidatesSchema) {
   opts.engine.partition.cost_aware = false;
   opts.engine.force_strategy = Strategy::kMemoized;
   opts.engine.memo_workers = 4;
-  opts.engine.memo_parallel = false;
   opts.engine.memo_watchdog = {64, 200};
   WeightStore ws(kWeightSeed);
   Server server(model, ws, opts);

@@ -8,7 +8,7 @@
 // Replay mode: re-run exactly one graph (optionally one variant), e.g. the
 // line a failing test or a previous sweep printed:
 //
-//   brickdl_fuzz --seed 1 --graph-idx 37 --variant memo-par-b8-w4 --dump
+//   brickdl_fuzz --seed 1 --graph-idx 37 --variant memo-b8-w4 --dump
 //
 // Exit status: 0 when every variant agreed, 1 otherwise, 2 on bad usage.
 #include <cstdlib>

@@ -41,7 +41,8 @@
 //     --duration-ms N   overload run length                    (default 1000)
 //     --drain-ms N      shutdown drain deadline in overload mode (default 500)
 //     --strategy S      padded | memoized | wavefront  (default: engine picks)
-//     --workers N       backend workers per run                (default 4)
+//     --workers N       backend workers per run; N > 1 runs them on the
+//                       shared host thread pool                (default 1)
 //     --seed N          base seed for weights + demo inputs    (default 42)
 //     --fast            ignore trace offsets; submit as fast as possible
 //     --trace[=PATH]    write a Chrome/Perfetto trace of the serve spans
